@@ -401,6 +401,7 @@ def build_parser():
     p.add_argument("--cartan", help="Cartan matrix as JSON, e.g. '[[2,-1],[-1,2]]'")
     p.add_argument("--w", required=True, help="word '1,2,1', permutation '3412', or 'e'")
     p.add_argument("--v", default="e")
+    p.add_argument("--degree-bound", type=int, default=None)
     _common_flags(p)
     p.set_defaults(fn=_cmd_coxeter)
 
@@ -413,8 +414,7 @@ def build_parser():
 
 
 def _common_flags(p):
-    p.add_argument("--char", type=int, default=0, help="0 for QQ, a prime for GF(p)")
-    p.add_argument("--degree-bound", type=int, default=None)
+    p.add_argument("--char", type=int, default=0, help="0 for QQ, a prime p < 2^25 for GF(p)")
     p.add_argument("--compare-recursion", action="store_true")
     p.add_argument("--output", help="write the report to a file")
     p.add_argument("--pretty", action="store_true", help="human-readable output")

@@ -42,18 +42,6 @@ def _qq_rows(rows):
     return [[QQ.from_int(v) for v in r] for r in rows]
 
 
-def _int_kernel_vector(rows, ncols):
-    """A primitive integer spanning vector of a 1-dimensional rational kernel."""
-    basis = kernel_basis(_qq_rows(rows), ncols, QQ)
-    if len(basis) != 1:
-        return None
-    dens = [v.denominator for v in basis[0]]
-    lcm = 1
-    for d in dens:
-        lcm = lcm * d // gcd(lcm, d)
-    return _primitive([int(v * lcm) for v in basis[0]])
-
-
 def _rank_int(rows, ncols):
     space = RowSpace(QQ, ncols)
     for r in rows:
@@ -405,8 +393,6 @@ class StructureSections:
             for i in self.max_ids:
                 for m in monomials(self.charts[i].nvars, d):
                     layout.append((i, m))
-            pos = {key: c for c, key in enumerate(layout)}
-            space = RowSpace(field, len(layout))
             nrows = []
             for (a, b), f in self._pair_faces.items():
                 chart_f = ConeChart(fan, f)
@@ -431,11 +417,8 @@ class StructureSections:
                     for em, cc in restricted.terms.items():
                         rows[fpos[em]][c] = field.add(rows[fpos[em]][c], cc)
                 nrows.extend(rows)
-            kern = kernel_basis(nrows, len(layout), field) if nrows else [
-                _unit(field, len(layout), c) for c in range(len(layout))
-            ]
             basis_d = []
-            for vec in kern:
+            for vec in kernel_basis(nrows, len(layout), field):
                 parts = {}
                 for c, (i, m) in enumerate(layout):
                     if not field.is_zero(vec[c]):
@@ -492,12 +475,6 @@ class StructureSections:
         # generators over the ring of a maximal chart
         nv = self.fan.ambient_dim
         return self.dims() == shape.free_dims(nv, self.bound)
-
-
-def _unit(field, n, i):
-    v = [field.zero] * n
-    v[i] = field.one
-    return v
 
 
 # -- the fan sheaf: local model for the generic recursion --------------------------

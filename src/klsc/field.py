@@ -7,7 +7,8 @@ fractions.Fraction otherwise.
 
 A field is a small stateless object exposing the arithmetic the linear
 algebra layer needs.  Elements are plain Python objects (mpq/Fraction for
-QQ, ints in [0, p) for GF(p)), so vectors are ordinary lists.
+QQ, ints in [0, p) for GF(p)), so vectors are ordinary lists.  GF(p) is
+supported for primes p < 2^25.
 """
 
 from __future__ import annotations
@@ -94,6 +95,11 @@ class Rationals:
         raise InvalidInputError(f"cannot parse rational from {s!r}")
 
 
+# GF(p) elimination sums int64 products below (p-1)^2, so p is capped well
+# below 2^32; the cap also bounds the trial division in _is_prime.
+MAX_CHARACTERISTIC = 2**25
+
+
 def _is_prime(p):
     if p < 2:
         return False
@@ -111,6 +117,10 @@ class PrimeField:
     name = "GF"
 
     def __init__(self, p):
+        if p >= MAX_CHARACTERISTIC:
+            raise InvalidInputError(
+                f"characteristic {p} is not supported; primes p < 2^25 are"
+            )
         if not _is_prime(p):
             raise InvalidInputError(f"{p} is not prime")
         self.p = p

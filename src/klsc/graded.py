@@ -139,26 +139,31 @@ class GradedModule:
         return True
 
 
-def minimal_generator_degrees(module: GradedModule) -> FreeModuleShape:
-    """Generator degrees of the minimal free cover of the module.
+def minimal_generators(module: GradedModule):
+    """Minimal generators of the module, as (degree, lift) pairs.
 
-    In each degree i this is dim M_i/(sum_v v*M_{i-1}).  A generator found
-    exactly at the truncation bound makes the answer unreliable (higher
-    degrees were never realized), so it raises TruncationBoundError.
+    In each degree i the lifts are the basis vectors of M_i outside
+    sum_v v*M_{i-1}, so there are dim M_i/(sum_v v*M_{i-1}) of them.  A
+    generator found exactly at the truncation bound makes the answer
+    unreliable (higher degrees were never realized), so it raises
+    TruncationBoundError.
     """
-    degrees = []
+    gens = []
     for i in range(module.bound + 1):
         space = module.raised_span(i)
-        base_dim = space.dim
         for b in module.bases[i]:
-            space.add(b)
-        n_new = space.dim - base_dim
-        if n_new and i == module.bound:
-            raise TruncationBoundError(
-                f"minimal generator at truncation bound {module.bound}; raise the bound"
-            )
-        degrees.extend([i] * n_new)
-    return FreeModuleShape(degrees)
+            if space.add(b) is not None:
+                if i == module.bound:
+                    raise TruncationBoundError(
+                        f"minimal generator at truncation bound {module.bound}; raise the bound"
+                    )
+                gens.append((i, b))
+    return gens
+
+
+def minimal_generator_degrees(module: GradedModule) -> FreeModuleShape:
+    """Generator degrees of the minimal free cover of the module."""
+    return FreeModuleShape(d for d, _ in minimal_generators(module))
 
 
 def free_graded_module(field, nvars, shape: FreeModuleShape, bound) -> GradedModule:

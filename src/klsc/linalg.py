@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from klsc.errors import InconsistentSystemError
+from klsc.errors import InconsistentSystemError, KlscError
 
 
 def _make_ops(field):
@@ -100,7 +100,6 @@ class RowSpace:
             self._is_zero_vec,
             self._first_nonzero,
         ) = _make_ops(field)
-        self._n_added = 0
 
     @property
     def dim(self):
@@ -129,22 +128,24 @@ class RowSpace:
             if a:
                 v = self._axpy(v, a, row)
                 if self.tags is not None:
-                    rtag = self.tags[c]
-                    for k, t in rtag.items():
-                        prev = tag.get(k)
-                        nt = (prev - a * t) if prev is not None else -a * t
-                        if self.field.characteristic:
-                            nt %= self.field.p
-                        if nt:
-                            tag[k] = nt
-                        elif prev is not None:
-                            del tag[k]
+                    self._tag_axpy(tag, a, self.tags[c])
         return v, tag
+
+    def _tag_axpy(self, tag, a, other):
+        """tag -= a * other, in place, dropping entries that become zero."""
+        for k, t in other.items():
+            prev = tag.get(k)
+            nt = (prev - a * t) if prev is not None else -a * t
+            if self.field.characteristic:
+                nt %= self.field.p
+            if nt:
+                tag[k] = nt
+            elif prev is not None:
+                del tag[k]
 
     def add(self, v, tag=None):
         """Add v to the span.  Returns the new pivot column, or None if v
         was already in the span."""
-        self._n_added += 1
         v, tag = self._reduce_internal(v, tag)
         pivot = self._first_nonzero(v)
         if pivot is None:
@@ -160,17 +161,7 @@ class RowSpace:
             if a:
                 self.rows[c] = self._axpy(row, a, v)
                 if self.tags is not None:
-                    ntag = dict(self.tags[c])
-                    for k, t in tag.items():
-                        prev = ntag.get(k)
-                        nt = (prev - a * t) if prev is not None else -a * t
-                        if self.field.characteristic:
-                            nt %= self.field.p
-                        if nt:
-                            ntag[k] = nt
-                        elif prev is not None:
-                            del ntag[k]
-                    self.tags[c] = ntag
+                    self._tag_axpy(self.tags[c], a, tag)
         self.rows[pivot] = v
         if self.tags is not None:
             self.tags[pivot] = tag
@@ -197,10 +188,15 @@ class RowSpace:
 class _GFRowSpace(RowSpace):
     """Dense RowSpace over GF(p): rows live in one preallocated int64
     matrix, reduction is a single matrix-vector product, and clearing a
-    new pivot column is one outer-product update.  Entries stay in [0, p)
-    and all intermediate products fit comfortably in int64."""
+    new pivot column is one outer-product update.  Entries stay in [0, p),
+    so a reduction sums at most ncols products below (p-1)^2; that sum
+    must fit in int64, which the constructor checks."""
 
     def __init__(self, field, ncols, tagged=False):
+        if ncols * (field.p - 1) ** 2 >= 2**63:
+            raise KlscError(
+                f"GF({field.p}) elimination with {ncols} columns would overflow int64"
+            )
         self.field = field
         self.ncols = ncols
         self.p = field.p
@@ -209,7 +205,6 @@ class _GFRowSpace(RowSpace):
         self._k = 0
         self._pivots = []
         self.tags = None
-        self._n_added = 0
 
     @property
     def dim(self):
@@ -236,12 +231,7 @@ class _GFRowSpace(RowSpace):
                 v = (v - coeffs[nz] @ self._buf[nz, : self.ncols]) % self.p
         return v, tag
 
-    def reduce(self, v, tag=None):
-        v, tag = self._reduce_internal(v, tag)
-        return list(v), tag
-
     def add(self, v, tag=None):
-        self._n_added += 1
         v, _ = self._reduce_internal(v)
         nz = np.nonzero(v)[0]
         if not len(nz):

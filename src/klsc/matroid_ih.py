@@ -47,10 +47,6 @@ def matroid_sheaf(matroid: Matroid, field=QQ) -> "MatroidIHSheaf":
     return _MEMO[key]
 
 
-def clear_cache():
-    _MEMO.clear()
-
-
 class MatroidIHSheaf:
     """The sheaf of one matroid, with lazily extendable degree data."""
 
@@ -203,14 +199,8 @@ class MatroidIHSheaf:
             for func in child_ann:
                 rows.append(self._scatter(func, positions, size))
         fspace = RowSpace(field, size)
-        if rows:
-            for v in kernel_basis(rows, size, field):
-                fspace.add(v)
-        else:
-            for c in range(size):
-                v = [field.zero] * size
-                v[c] = field.one
-                fspace.add(v)
+        for v in kernel_basis(rows, size, field):
+            fspace.add(v)
         self._proper.append(fspace)
 
         prev_shift = None

@@ -43,15 +43,6 @@ class UniPoly:
     def one():
         return UniPoly((1,))
 
-    @staticmethod
-    def t_power(k, coeff=1):
-        return UniPoly((0,) * k + (coeff,))
-
-    @staticmethod
-    def from_coeff_list(lst):
-        """From a JSON-style coefficient array, lowest degree first."""
-        return UniPoly(tuple(int(c) for c in lst))
-
     # -- basic queries ---------------------------------------------------------
 
     @property
@@ -265,15 +256,6 @@ class MultiPoly:
 
     def degree(self):
         return max((sum(e) for e in self.terms), default=NEG_INF)
-
-    def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
-    def homogeneous_part(self, d):
-        return MultiPoly(
-            self.field, self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d}
-        )
 
     def __add__(self, other):
         f = self.field

@@ -23,8 +23,8 @@ There is no uniform recipe for the boundary module; each instantiation
 from __future__ import annotations
 
 from klsc.errors import DegreeBoundError
-from klsc.graded import FreeModuleShape, minimal_generator_degrees
-from klsc.linalg import RowSpace, kernel_basis, matvec
+from klsc.graded import FreeModuleShape, minimal_generators
+from klsc.linalg import RowSpace, kernel_basis
 from klsc.poly import UniPoly, monomials
 from klsc.poset import RankedPoset, UpperSet
 
@@ -106,9 +106,7 @@ class PosetSheaf:
                     row[c] = val
                 rows.append(row)
         space = RowSpace(self.field, len(layout))
-        for v in kernel_basis(rows, len(layout), self.field) if rows else [
-            _unit(self.field, len(layout), c) for c in range(len(layout))
-        ]:
+        for v in kernel_basis(rows, len(layout), self.field):
             space.add(v)
         return space
 
@@ -195,16 +193,14 @@ class PosetSheaf:
         return ok
 
 
-def build_sheaf(poset: RankedPoset, model, enforce_degree_contract=None) -> PosetSheaf:
+def build_sheaf(poset: RankedPoset, model) -> PosetSheaf:
     """Run the recursion over the whole poset.
 
-    enforce_degree_contract defaults to True in characteristic zero: a
-    boundary generator in half-degree >= rank(top) - rank(x) is then a
-    hard error.  In positive characteristic such generators are legal and
-    retained.
+    In characteristic zero a boundary generator in half-degree
+    >= rank(top) - rank(x) is a hard error; in positive characteristic
+    such generators are legal and retained.
     """
-    if enforce_degree_contract is None:
-        enforce_degree_contract = model.field.characteristic == 0
+    enforce = model.field.characteristic == 0
     top_rank = max(poset.rank)
     bound = top_rank - min(poset.rank) + 1
     sheaf = PosetSheaf(poset, model, bound)
@@ -213,7 +209,7 @@ def build_sheaf(poset: RankedPoset, model, enforce_degree_contract=None) -> Pose
         if poset.up[x] == 1 << x:
             _attach_maximal(sheaf, x)
             continue
-        _attach(sheaf, x, top_rank, enforce_degree_contract)
+        _attach(sheaf, x, top_rank, enforce)
     return sheaf
 
 
@@ -248,50 +244,33 @@ def _attach(sheaf: PosetSheaf, x, top_rank, enforce):
     view = SectionView(sheaf, elems, [sp.basis() for sp in fspaces])
 
     bmod, res = model.boundary(x, view)
-    shape = minimal_generator_degrees(bmod)
-    if enforce and shape.degrees and shape.max_degree() >= r_x:
-        raise DegreeBoundError(poset.names[x], shape.max_degree(), r_x)
-    sheaf.stalks[x] = list(shape.degrees)
-
-    # generator lifts: vectors of the boundary module outside the raised span
-    lifts = []
-    for d in range(bmod.bound + 1):
-        span = bmod.raised_span(d)
-        for v in bmod.bases[d]:
-            if span.add(v) is not None:
-                lifts.append((d, v))
-    assert [d for d, _ in lifts] == list(shape.degrees)
+    lifts = minimal_generators(bmod)
+    degrees = [d for d, _ in lifts]
+    if enforce and degrees and degrees[-1] >= r_x:
+        raise DegreeBoundError(poset.names[x], degrees[-1], r_x)
+    sheaf.stalks[x] = degrees
 
     nx = model.nvars(x)
-    # psi on the monomial basis of the free cover, degree by degree
-    psi = {}  # degree -> list of vectors matching (gen, monomial) coords
-    gen_vecs = {}
-    for gi, (gd, v) in enumerate(lifts):
-        gen_vecs[(gi, (0,) * nx)] = (gd, v)
-    for d in range(sheaf.bound + 1):
-        cols = []
-        for gi, gd in enumerate(shape.degrees):
-            if gd <= d:
-                for m in monomials(nx, d - gd):
-                    cols.append((gi, m))
-        vecs = []
-        for gi, m in cols:
-            base_deg, base_vec = lifts[gi][0], lifts[gi][1]
-            v = base_vec
-            deg = base_deg
-            for var, k in enumerate(m):
-                for _ in range(k):
-                    v = matvec(bmod.raising[var][deg], v, field)
-                    deg += 1
-            vecs.append(v)
-        psi[d] = (cols, vecs)
-
-    # sections over P_x: pairs (s, m) with res(s) = psi(m)
     x_first = [x] + elems
     spaces = []
+    psi = {}
     for d in range(sheaf.bound + 1):
+        # psi on the monomial basis (gen, m) of the free cover: the lift of
+        # gen raised by m, i.e. the image of (gen, m / v) one degree down
+        # raised by v, the last variable dividing m
+        prev, psi = psi, {}
+        for gi, (gd, lift) in enumerate(lifts):
+            if gd == d:
+                psi[(gi, (0,) * nx)] = lift
+            elif gd < d:
+                for m in monomials(nx, d - gd):
+                    v = max(j for j, e in enumerate(m) if e)
+                    down = m[:v] + (m[v] - 1,) + m[v + 1 :]
+                    psi[(gi, m)] = bmod.apply_raising(v, d - 1, prev[(gi, down)])
+        cols, mvecs = list(psi), list(psi.values())
+
+        # sections over P_x: pairs (s, m) with res(s) = psi(m)
         fbasis = fspaces[d].basis()
-        cols, mvecs = psi[d]
         amb = bmod.ambient_dims[d]
         nunk = len(fbasis) + len(cols)
         rows = [[field.zero] * nunk for _ in range(amb)]

@@ -6,8 +6,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from klsc.errors import InconsistentSystemError, TruncationBoundError
-from klsc.field import GF, QQ
+from klsc.errors import (
+    InconsistentSystemError,
+    InvalidInputError,
+    KlscError,
+    TruncationBoundError,
+)
+from klsc.field import GF, MAX_CHARACTERISTIC, QQ
 from klsc.graded import (
     FreeModuleShape,
     free_graded_module,
@@ -40,6 +45,13 @@ class TestFields:
         with pytest.raises(Exception):
             GF(6)
 
+    def test_gf_characteristic_cap(self):
+        # 3037000493 is prime, but its int64 elimination overflowed
+        for p in (3037000493, MAX_CHARACTERISTIC + 15, 2**61 - 1):
+            with pytest.raises(InvalidInputError):
+                GF(p)
+        assert GF(LARGEST_PRIME).p == LARGEST_PRIME
+
     @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))
     def test_field_axioms_sample(self, a, b, c):
         for field in (QQ, GF(7)):
@@ -51,7 +63,74 @@ class TestFields:
             )
 
 
+def _is_prime_ref(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def _prime_at_most(n):
+    while not _is_prime_ref(n):
+        n -= 1
+    return n
+
+
+LARGEST_PRIME = _prime_at_most(MAX_CHARACTERISTIC - 1)
+
+
+def _rank_mod_p(rows, p):
+    """Gauss-Jordan elimination mod p on Python ints."""
+    rows = [[x % p for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] * inv % p
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def _gf_systems(draw):
+    """A prime below the cap and a product of two random matrices mod p,
+    of inner dimension r, so ranks below full occur; entries lean to p-1,
+    which maximizes the int64 products."""
+    p = draw(
+        st.one_of(
+            st.just(LARGEST_PRIME),
+            st.integers(2, MAX_CHARACTERISTIC - 1).map(_prime_at_most),
+        )
+    )
+    nrows, ncols, r = (draw(st.integers(1, 6)) for _ in range(3))
+    entry = st.one_of(st.just(p - 1), st.integers(0, p - 1))
+    a = [[draw(entry) for _ in range(r)] for _ in range(nrows)]
+    b = [[draw(entry) for _ in range(ncols)] for _ in range(r)]
+    rows = [
+        [sum(a[i][k] * b[k][j] for k in range(r)) % p for j in range(ncols)]
+        for i in range(nrows)
+    ]
+    return p, ncols, rows
+
+
 class TestLinalg:
+    @given(_gf_systems())
+    def test_gf_rank_matches_pure_python(self, system):
+        p, ncols, rows = system
+        space = RowSpace(GF(p), ncols)
+        for r in rows:
+            space.add(r)
+        assert space.dim == _rank_mod_p(rows, p)
+
+    def test_gf_elimination_refuses_int64_overflow(self):
+        F = GF(LARGEST_PRIME)
+        assert RowSpace(F, 1000).dim == 0
+        with pytest.raises(KlscError):
+            RowSpace(F, 2**14)
+
     def test_kernel_of_identity_is_zero(self):
         eye = [[QQ.one if i == j else QQ.zero for j in range(3)] for i in range(3)]
         assert kernel_basis(eye, 3, QQ) == []

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from klsc.cli import main
 
 
@@ -49,6 +51,18 @@ class TestMatroidCommand:
     def test_missing_fields_exits_2(self, tmp_path):
         path = write(tmp_path, "bad.json", {"ground_set": 3})
         assert main(["matroid", "kl", "--input", path]) == 2
+
+    def test_char_above_cap_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "u34.json", U34)
+        assert main(["matroid", "kl", "--input", path, "--char", "3037000493"]) == 2
+        assert "not supported" in capsys.readouterr().err
+
+    def test_degree_bound_is_coxeter_only(self, tmp_path, capsys):
+        path = write(tmp_path, "u34.json", U34)
+        with pytest.raises(SystemExit) as exc:
+            main(["matroid", "kl", "--input", path, "--degree-bound", "3"])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
     def test_flats_input(self, tmp_path, capsys):
         data = {
@@ -123,6 +137,12 @@ class TestCoxeterCommand:
 
     def test_word_form(self, capsys):
         code = main(["coxeter", "kl", "--type", "A2", "--w", "1,2,1"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["P"]["coeffs"] == [1]
+
+    def test_degree_bound(self, capsys):
+        code = main(["coxeter", "kl", "--type", "A2", "--w", "1,2,1", "--degree-bound", "4"])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["P"]["coeffs"] == [1]

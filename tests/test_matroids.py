@@ -254,6 +254,14 @@ class TestModP:
         for p in (2, 3, 5):
             assert not p_trivial_criterion(Matroid.uniform(3, 4), p)
 
+    def test_u35_large_primes_agree_with_qq(self):
+        # GF(3037000493), now rejected, gave 1 + 6t here through int64 overflow
+        m = Matroid.uniform(3, 5)
+        expected = UniPoly((1, 5))
+        assert kl_polynomial(m) == expected
+        for p in (101, 65521, 33554393):
+            assert kl_polynomial(m, GF(p)) == expected
+
     def test_booleans_trivial_for_all_p(self):
         for n in (2, 3):
             m = Matroid.boolean(n)

@@ -1,7 +1,7 @@
 """The generic sheaf engine: base cases, boundary modules, determinism."""
 
 from klsc.fans import Fan, FanLocalModel, build_fan_sheaf, face_lattice, fan_face_poset
-from klsc.graded import FreeModuleShape, minimal_generator_degrees
+from klsc.graded import FreeModuleShape, GradedModule, minimal_generator_degrees
 from klsc.matroids import Matroid
 from klsc.matroid_ih import MatroidLocalModel
 from klsc.poset import UpperSet
@@ -67,6 +67,22 @@ class TestBoundaryModules:
             (0, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 3)
         )
         assert sheaf.sections_poincare(full) == UniPoly((1, 6, 6, 1))
+
+
+class TestSingleSweep:
+    def test_raised_span_built_once_per_degree(self, monkeypatch):
+        degrees = []
+        original = GradedModule.raised_span
+
+        def counting(module, i):
+            degrees.append(i)
+            return original(module, i)
+
+        monkeypatch.setattr(GradedModule, "raised_span", counting)
+        poset, sheaf = build_fan_sheaf(face_lattice(SQUARE_CONE_RAYS, 3))
+        non_maximal = [x for x in poset.elements() if poset.up[x] != 1 << x]
+        assert len(non_maximal) == 9 and sheaf.bound == 4
+        assert len(degrees) == (sheaf.bound + 1) * len(non_maximal)
 
 
 class TestDeterminism:
