@@ -392,6 +392,7 @@ def build_parser():
     p.add_argument("action", choices=["kl", "z"])
     p.add_argument("--input", required=True)
     p.add_argument("--all-flats", action="store_true")
+    _field_flags(p)
     _common_flags(p)
     p.set_defaults(fn=_cmd_matroid)
 
@@ -402,6 +403,7 @@ def build_parser():
     p.add_argument("--w", required=True, help="word '1,2,1', permutation '3412', or 'e'")
     p.add_argument("--v", default="e")
     p.add_argument("--degree-bound", type=int, default=None)
+    _field_flags(p)
     _common_flags(p)
     p.set_defaults(fn=_cmd_coxeter)
 
@@ -413,9 +415,13 @@ def build_parser():
     return parser
 
 
-def _common_flags(p):
+def _field_flags(p):
+    """Flags of the sheaf commands that take a field and a second route."""
     p.add_argument("--char", type=int, default=0, help="0 for QQ, a prime p < 2^25 for GF(p)")
     p.add_argument("--compare-recursion", action="store_true")
+
+
+def _common_flags(p):
     p.add_argument("--output", help="write the report to a file")
     p.add_argument("--pretty", action="store_true", help="human-readable output")
 

@@ -1,14 +1,15 @@
 """Exact scalar fields: the rationals and prime fields GF(p).
 
 Every computation in this package runs over one of these two fields; there
-is no floating point anywhere.  Rational arithmetic uses gmpy2.mpq when
-available (much faster on big numerators) and falls back to
-fractions.Fraction otherwise.
+is no floating point anywhere.  Rational scalars use gmpy2.mpq when
+available and fractions.Fraction otherwise; QQ elimination (klsc.linalg)
+runs on primitive integer rows of Python ints with either backend.
 
 A field is a small stateless object exposing the arithmetic the linear
-algebra layer needs.  Elements are plain Python objects (mpq/Fraction for
-QQ, ints in [0, p) for GF(p)), so vectors are ordinary lists.  GF(p) is
-supported for primes p < 2^25.
+algebra layer needs.  Elements are plain Python objects (mpq/Fraction or
+Python ints for QQ, ints in [0, p) for GF(p)), so vectors are ordinary
+lists; QQ.div and QQ.inv stay exact on ints.  GF(p) is supported for
+primes p < 2^25.
 """
 
 from __future__ import annotations
@@ -51,13 +52,14 @@ class Rationals:
         return a * b
 
     def div(self, a, b):
-        return a / b
+        # _mpq(a) keeps the quotient exact when a and b are both ints
+        return _mpq(a) / b
 
     def neg(self, a):
         return -a
 
     def inv(self, a):
-        return 1 / a
+        return self.one / a
 
     def is_zero(self, a):
         return not a

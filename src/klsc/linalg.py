@@ -1,8 +1,8 @@
 """Exact dense linear algebra over a scalar field.
 
-Vectors are plain Python lists of field elements, matrices are lists of
-row vectors.  Everything reduces to one workhorse, :class:`RowSpace`, an
-incrementally maintained reduced row echelon basis:
+Vectors are plain Python lists, matrices are lists of row vectors.
+Everything reduces to one workhorse, :class:`RowSpace`, an incrementally
+maintained reduced row echelon basis:
 
 * add a vector, learn whether it enlarged the span;
 * reduce a vector against the span (one pass, since the basis is kept
@@ -11,81 +11,43 @@ incrementally maintained reduced row echelon basis:
   that were added ("tagged" mode), which is how generator provenance is
   recovered in the sheaf computations.
 
+Over QQ the elimination is fraction-free (Bareiss, Math. Comp. 22, 1968),
+whichever rational backend is installed: every basis row is a primitive
+vector of Python ints with a positive pivot entry, input vectors are
+cleared of denominators on entry, and ``reduce`` divides by the scale it
+accumulated once at the end, so its residual is exactly the one a
+unit-pivot echelon gives.  Over GF(p) rows are numpy int64 arrays with
+unit pivots.
+
 Row order never affects computed dimensions; pivots are always the
 leftmost nonzero column, so results are deterministic.
 """
 
 from __future__ import annotations
 
+from itertools import compress, count
+from math import gcd, lcm
+
 import numpy as np
 
 from klsc.errors import InconsistentSystemError, KlscError
 
 
-def _make_ops(field):
-    """Field-specialized kernels for the inner loops.
-
-    Over GF(p) the vectors are numpy int64 arrays reduced mod p (entries
-    stay below p, all products below p^2, so int64 is exact); over the
-    rationals they are plain lists of exact big rationals.
-    """
-    if field.characteristic == 0:
-
-        def convert(v):
-            return list(v)
-
-        def axpy(v, c, row):
-            # v - c*row, skipping zero entries of row
-            return [x - c * y if y else x for x, y in zip(v, row)]
-
-        def scale(v, c):
-            return [c * x if x else x for x in v]
-
-        def is_zero_vec(v):
-            return not any(v)
-
-        def first_nonzero(v):
-            for c, x in enumerate(v):
-                if x:
-                    return c
-            return None
-
-    else:
-        p = field.p
-
-        def convert(v):
-            if isinstance(v, np.ndarray):
-                return v % p
-            return np.fromiter((int(x) % p for x in v), dtype=np.int64, count=len(v))
-
-        def axpy(v, c, row):
-            return (v - int(c) * row) % p
-
-        def scale(v, c):
-            return (int(c) * v) % p
-
-        def is_zero_vec(v):
-            return not v.any()
-
-        def first_nonzero(v):
-            nz = np.nonzero(v)[0]
-            return int(nz[0]) if len(nz) else None
-
-    return convert, axpy, scale, is_zero_vec, first_nonzero
-
-
 class RowSpace:
     """A subspace of field^ncols, stored as a reduced row echelon basis.
 
-    Rows are indexed by pivot column; every pivot entry is 1 and every
-    pivot column is zero in all other rows, so reducing a vector is a
-    single pass over the stored rows.  Over GF(p) (untagged) a dense
-    vectorized variant is used instead; see _GFRowSpace.
+    Rows are indexed by pivot column and every pivot column is zero in all
+    other rows, so reducing a vector is a single pass over the stored rows.
+    Over QQ each row is a primitive int list with a positive pivot entry
+    pv, kept with its nonzero (column, entry) pairs; reducing v against it
+    computes pv*v - v[pivot]*row over those pairs only.  Over GF(p) a dense
+    vectorized variant is used instead (see _GFRowSpace), or, in tagged
+    mode, numpy rows with unit pivots (_GFTaggedRowSpace).
     """
 
     def __new__(cls, field, ncols, tagged=False):
-        if cls is RowSpace and field.characteristic > 0 and not tagged:
-            return super().__new__(_GFRowSpace)
+        if cls is RowSpace and field.characteristic > 0:
+            return super().__new__(_GFTaggedRowSpace if tagged else _GFRowSpace)
         return super().__new__(cls)
 
     def __init__(self, field, ncols, tagged=False):
@@ -93,13 +55,7 @@ class RowSpace:
         self.ncols = ncols
         self.rows = {}  # pivot column -> row vector
         self.tags = {} if tagged else None  # pivot column -> tag dict
-        (
-            self._convert,
-            self._axpy,
-            self._scale,
-            self._is_zero_vec,
-            self._first_nonzero,
-        ) = _make_ops(field)
+        self._support = {}  # pivot column -> nonzero (column, entry) pairs
 
     @property
     def dim(self):
@@ -115,74 +71,162 @@ class RowSpace:
         In tagged mode the returned tag expresses residual = v_original -
         (combination of previously added vectors); callers that add
         vectors with their own tags can use it to recover coordinates.
+        Both are divided by the elimination's scale once, here, so they
+        are linear in v and exact (ints or rationals over QQ).
         """
-        v, tag = self._reduce_internal(v, tag)
+        v, tag, scale = self._reduce_internal(v, tag)
+        if scale != 1:
+            div = self.field.div
+            v = [div(x, scale) for x in v]
+            if tag:
+                tag = {k: div(t, scale) for k, t in tag.items()}
         return list(v), tag
 
     def _reduce_internal(self, v, tag=None):
-        v = self._convert(v)
-        if self.tags is not None:
-            tag = dict(tag) if tag else {}
-        for c, row in self.rows.items():
-            a = v[c]
-            if a:
-                v = self._axpy(v, a, row)
-                if self.tags is not None:
-                    self._tag_axpy(tag, a, self.tags[c])
-        return v, tag
+        """(w, tag, s) with w = s*v - (a combination of the rows), zero in
+        every pivot column, the tag carried along the same way, and s > 0."""
+        rows, tags = self.rows, self.tags
+        v, tag, scale = self._convert(v, None if tags is None else dict(tag or {}))
+        # a step against one row scales v's other pivot entries by a positive
+        # pv and leaves zero ones zero, so the rows to use are known upfront
+        for c in list(compress(rows, map(v.__getitem__, rows))):
+            a, pv = v[c], rows[c][c]
+            v = self._combine(pv, v, a, c)
+            if tags is not None:
+                self._tag_combine(pv, tag, a, tags[c])
+            scale *= pv
+        return v, tag, scale
 
-    def _tag_axpy(self, tag, a, other):
-        """tag -= a * other, in place, dropping entries that become zero."""
+    @staticmethod
+    def _convert(v, tag):
+        """(d*v, d*tag, d) for the least d > 0 that makes every entry of v
+        and of the tag an int.  The tag is a dict, updated in place, or
+        None."""
+        vals = list(tag.values()) if tag else ()
+        if set(map(type, v)).union(map(type, vals)) <= {int}:
+            return list(v), tag, 1
+        ratios = [x.as_integer_ratio() for x in v]
+        tag_ratios = [(k, t.as_integer_ratio()) for k, t in tag.items()] if tag else []
+        d = lcm(*{q for _, q in ratios}, *{q for _, (_, q) in tag_ratios})
+        for k, (p, q) in tag_ratios:
+            tag[k] = p * (d // q)
+        if d == 1:
+            return [p for p, _ in ratios], tag, 1
+        return [p * (d // q) for p, q in ratios], tag, d
+
+    def _combine(self, pv, v, a, c):
+        """pv*v - a*(row c); updates v in place when pv is 1."""
+        if pv != 1:
+            v = [pv * x for x in v]
+        for j, y in self._support[c]:
+            v[j] -= a * y
+        return v
+
+    def _tag_combine(self, pv, tag, a, other):
+        """tag = pv*tag - a*other, in place, dropping entries that become
+        zero."""
+        p = self.field.characteristic
+        if pv != 1:
+            for k in tag:
+                tag[k] *= pv
         for k, t in other.items():
-            prev = tag.get(k)
-            nt = (prev - a * t) if prev is not None else -a * t
-            if self.field.characteristic:
-                nt %= self.field.p
+            nt = tag.get(k, 0) - a * t
+            if p:
+                nt %= p
             if nt:
                 tag[k] = nt
-            elif prev is not None:
-                del tag[k]
+            else:
+                tag.pop(k, None)
+
+    @staticmethod
+    def _first_nonzero(v):
+        return next(compress(count(), v), None)
+
+    @staticmethod
+    def _normalise(v, tag, pivot):
+        """Divide v by its content, and its tag with it, so that v is
+        primitive with a positive pivot entry.  In tagged mode the content
+        is taken over the tag's entries too, so tags stay integral."""
+        g = gcd(*v, *tag.values()) if tag else gcd(*v)
+        if v[pivot] < 0:
+            g = -g
+        if g != 1:
+            v = [x // g for x in v]
+            if tag:
+                tag = {k: t // g for k, t in tag.items()}
+        return v, tag
+
+    def _store(self, c, row, tag):
+        self.rows[c] = row
+        self._support[c] = list(compress(enumerate(row), row))
+        if tag is not None:
+            self.tags[c] = tag
 
     def add(self, v, tag=None):
         """Add v to the span.  Returns the new pivot column, or None if v
         was already in the span."""
-        v, tag = self._reduce_internal(v, tag)
+        v, tag, _ = self._reduce_internal(v, tag)
         pivot = self._first_nonzero(v)
         if pivot is None:
             return None
-        inv = self.field.inv(v[pivot])
-        if not self.field.eq(inv, self.field.one):
-            v = self._scale(v, inv)
-            if self.tags is not None:
-                tag = {k: self._scalar_mul(inv, t) for k, t in tag.items()}
+        v, tag = self._normalise(v, tag, pivot)
+        pv = v[pivot]
+        rows, tags = self.rows, self.tags
+        hits = [c for c, row in rows.items() if row[pivot]]
+        self._store(pivot, v, tag)
         # keep the basis fully reduced: clear the new pivot column everywhere
-        for c, row in self.rows.items():
-            a = row[pivot]
-            if a:
-                self.rows[c] = self._axpy(row, a, v)
-                if self.tags is not None:
-                    self._tag_axpy(self.tags[c], a, tag)
-        self.rows[pivot] = v
-        if self.tags is not None:
-            self.tags[pivot] = tag
+        for c in hits:
+            a = rows[c][pivot]
+            row = self._combine(pv, rows[c], a, pivot)
+            if tags is not None:
+                self._tag_combine(pv, tags[c], a, tag)
+            self._store(c, *self._normalise(row, None if tags is None else tags[c], c))
         return pivot
 
-    def _scalar_mul(self, c, t):
-        out = c * t
-        if self.field.characteristic:
-            out %= self.field.p
-        return out
-
     def contains(self, v):
-        res, _ = self._reduce_internal(v)
-        return self._is_zero_vec(res)
+        res, _, _ = self._reduce_internal(v)
+        return self._first_nonzero(res) is None
 
     def copy(self):
         out = RowSpace(self.field, self.ncols, tagged=self.tags is not None)
-        out.rows = {c: self._convert(r) for c, r in self.rows.items()}
+        out.rows = {c: r.copy() for c, r in self.rows.items()}
+        out._support = dict(self._support)
         if self.tags is not None:
             out.tags = {c: dict(t) for c, t in self.tags.items()}
         return out
+
+
+class _GFTaggedRowSpace(RowSpace):
+    """Tagged RowSpace over GF(p): rows are numpy int64 arrays reduced mod
+    p with unit pivots, so every reduction step is v - a*row."""
+
+    def _convert(self, v, tag):
+        p = self.field.p
+        if isinstance(v, np.ndarray):
+            v = v % p
+        else:
+            v = np.fromiter((int(x) % p for x in v), dtype=np.int64, count=len(v))
+        return v, tag, 1
+
+    def _combine(self, pv, v, a, c):
+        return (v - int(a) * self.rows[c]) % self.field.p
+
+    @staticmethod
+    def _first_nonzero(v):
+        nz = np.nonzero(v)[0]
+        return int(nz[0]) if len(nz) else None
+
+    def _normalise(self, v, tag, pivot):
+        p = self.field.p
+        a = int(v[pivot])
+        if a == 1:
+            return v, tag
+        inv = pow(a, p - 2, p)
+        return (inv * v) % p, {k: inv * t % p for k, t in tag.items()}
+
+    def _store(self, c, row, tag):
+        self.rows[c] = row
+        self.tags[c] = tag
 
 
 class _GFRowSpace(RowSpace):
@@ -229,10 +273,10 @@ class _GFRowSpace(RowSpace):
             nz = np.nonzero(coeffs)[0]
             if len(nz):
                 v = (v - coeffs[nz] @ self._buf[nz, : self.ncols]) % self.p
-        return v, tag
+        return v, tag, 1
 
     def add(self, v, tag=None):
-        v, _ = self._reduce_internal(v)
+        v, _, _ = self._reduce_internal(v)
         nz = np.nonzero(v)[0]
         if not len(nz):
             return None
@@ -258,7 +302,7 @@ class _GFRowSpace(RowSpace):
         return pivot
 
     def contains(self, v):
-        res, _ = self._reduce_internal(v)
+        res, _, _ = self._reduce_internal(v)
         return not res.any()
 
     def copy(self):
@@ -271,7 +315,8 @@ class _GFRowSpace(RowSpace):
 
 
 def rref(rows, ncols, field):
-    """Reduced row echelon form.  Returns (basis rows, pivot columns)."""
+    """Reduced row echelon form.  Returns (basis rows, pivot columns);
+    over QQ the rows are primitive int vectors with positive pivots."""
     space = RowSpace(field, ncols)
     for r in rows:
         space.add(r)
@@ -289,7 +334,8 @@ def rank(rows, ncols, field):
 
 def kernel_basis(rows, ncols, field):
     """Basis of the right kernel {x : A x = 0} of the matrix with the given
-    rows.  The empty kernel is the empty list (not an error)."""
+    rows.  The empty kernel is the empty list (not an error).  Over QQ the
+    vectors are primitive int vectors, one per free column."""
     basis, pivots = rref(rows, ncols, field)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
@@ -305,14 +351,15 @@ def kernel_basis(rows, ncols, field):
         return out
     out = []
     for fc in free_cols:
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        # each pivot row: x_pivot + sum(row[c] x_c for free c) = 0
-        for row, pc in zip(basis, pivots):
-            a = row[fc]
-            if a:
-                v[pc] = field.neg(a)
-        out.append(v)
+        # each pivot row: pv*x_pivot + sum(row[c] x_c for free c) = 0
+        terms = [(pc, row[fc], row[pc]) for row, pc in zip(basis, pivots) if row[fc]]
+        m = lcm(*(pv for _, _, pv in terms))
+        v = [0] * ncols
+        v[fc] = m
+        for pc, a, pv in terms:
+            v[pc] = -a * (m // pv)
+        g = gcd(*v)
+        out.append([x // g for x in v] if g != 1 else v)
     return out
 
 
@@ -329,7 +376,7 @@ def solve_linear(rows, b, field):
     for row, pc in zip(basis, pivots):
         if pc == ncols:
             raise InconsistentSystemError("linear system has no solution")
-        x[pc] = row[ncols]
+        x[pc] = field.div(row[ncols], row[pc])
     return x
 
 

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -40,6 +42,11 @@ class TestFields:
         F = GF(5)
         assert F.eq(F.mul(F.from_int(3), F.from_int(4)), F.from_int(2))
         assert F.eq(F.mul(F.inv(F.from_int(3)), F.from_int(3)), F.one)
+
+    def test_rational_inverse_and_quotient_of_ints_are_exact(self):
+        for x in (QQ.inv(3), QQ.div(1, 3)):
+            assert x == Fraction(1, 3)
+            assert not isinstance(x, float)
 
     def test_gf_requires_prime(self):
         with pytest.raises(Exception):
@@ -116,7 +123,107 @@ def _gf_systems(draw):
     return p, ncols, rows
 
 
+def _fraction_reduce(basis, v):
+    """v minus its combination of the unit-pivot rows, on Fractions."""
+    v = [Fraction(x) for x in v]
+    for c, row in basis.items():
+        a = v[c]
+        if a:
+            v = [x - a * y for x, y in zip(v, row)]
+    return v
+
+
+def _fraction_rref(rows):
+    """Gauss-Jordan elimination on Fractions: pivot column -> unit-pivot
+    row of the reduced echelon form."""
+    basis = {}
+    for r in rows:
+        v = _fraction_reduce(basis, r)
+        piv = next((c for c, x in enumerate(v) if x), None)
+        if piv is None:
+            continue
+        v = [x / v[piv] for x in v]
+        for c, row in basis.items():
+            if row[piv]:
+                basis[c] = [x - row[piv] * y for x, y in zip(row, v)]
+        basis[piv] = v
+    return basis
+
+
+@st.composite
+def _qq_systems(draw):
+    """A product of two random rational matrices of inner dimension r (so
+    ranks below full occur), and target vectors: random ones and
+    combinations of the rows."""
+    ncols, nrows, r = (draw(st.integers(1, 5)) for _ in range(3))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    a = [[draw(entry) for _ in range(r)] for _ in range(nrows)]
+    b = [[draw(entry) for _ in range(ncols)] for _ in range(r)]
+    rows = [
+        [sum(a[i][k] * b[k][j] for k in range(r)) for j in range(ncols)]
+        for i in range(nrows)
+    ]
+    targets = [[draw(entry) for _ in range(ncols)] for _ in range(2)]
+    coeffs = [draw(entry) for _ in rows]
+    targets.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)])
+    return ncols, rows, targets
+
+
+def _exact(vec):
+    return all(isinstance(x, (int, Fraction)) for x in vec)
+
+
 class TestLinalg:
+    @given(_qq_systems())
+    def test_qq_elimination_matches_fraction_reference(self, system):
+        ncols, rows, targets = system
+        ref = _fraction_rref(rows)
+        space = RowSpace(QQ, ncols)
+        tagged = RowSpace(QQ, ncols, tagged=True)
+        for i, r in enumerate(rows):
+            space.add(r)
+            tagged.add(r, {i: QQ.one})
+        assert space.dim == tagged.dim == len(ref)
+        # primitive int rows with positive pivots, multiples of the reference
+        for row in space.basis():
+            piv = next(c for c, x in enumerate(row) if x)
+            assert _exact(row) and gcd(*row) == 1 and row[piv] > 0
+            assert [Fraction(x, row[piv]) for x in row] == ref[piv]
+        for target in targets:
+            expected = _fraction_reduce(ref, target)
+            res, _ = space.reduce(target)
+            assert res == expected and _exact(res)
+            assert space.contains(target) == (not any(expected))
+            # the tag rebuilds the residual: residual = target + sum tag_k * row_k
+            res, tag = tagged.reduce(target)
+            assert res == expected
+            comb = [Fraction(x) for x in target]
+            for k, c in tag.items():
+                comb = [x + c * y for x, y in zip(comb, rows[k])]
+            assert comb == expected and _exact(tag.values())
+        ker = kernel_basis(rows, ncols, QQ)
+        assert len(ker) == ncols - len(ref)
+        assert rank(ker, ncols, QQ) == len(ker)
+        for v in ker:
+            assert not any(matvec(rows, v, QQ))
+        b = matvec(rows, targets[0], QQ)
+        x = solve_linear(rows, b, QQ)
+        assert matvec(rows, x, QQ) == b and _exact(x)
+
+    def test_qq_reduce_is_linear(self):
+        # pivot entries 6 and 3, so reduction scales and divides back
+        space = RowSpace(QQ, 4)
+        space.add([2, 1, 0, 1])
+        space.add([0, 3, 1, 1])
+        assert sorted(r[c] for c, r in space.rows.items()) == [3, 6]
+        u = [QQ.from_int(1), QQ.from_int(1), QQ.from_int(1), QQ.from_int(1)]
+        w = [QQ.parse("1/2"), QQ.zero, QQ.from_int(2), QQ.from_int(-1)]
+        res_u, _ = space.reduce(u)
+        res_w, _ = space.reduce(w)
+        res_uw, _ = space.reduce([2 * a + 3 * b for a, b in zip(u, w)])
+        assert any(res_u) and any(res_w)
+        assert res_uw == [2 * a + 3 * b for a, b in zip(res_u, res_w)]
+
     @given(_gf_systems())
     def test_gf_rank_matches_pure_python(self, system):
         p, ncols, rows = system

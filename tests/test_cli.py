@@ -64,6 +64,21 @@ class TestMatroidCommand:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_field_flags_are_matroid_and_coxeter_only(self, tmp_path, capsys):
+        square = write(tmp_path, "square.json", SQUARE)
+        u34 = write(tmp_path, "u34.json", U34)
+        for argv in (
+            ["fan", "g", "--input", square, "--char", "6"],
+            ["fan", "ih", "--input", square, "--compare-recursion"],
+            ["kls", "--kernel", "matroid", "--input", u34, "--compare-recursion"],
+            ["kls", "--kernel", "matroid", "--input", u34, "--char", "2"],
+            ["validate", "--char", "5"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+        capsys.readouterr()
+
     def test_flats_input(self, tmp_path, capsys):
         data = {
             "ground_set": 3,
