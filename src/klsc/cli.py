@@ -10,7 +10,9 @@ validate  run the desk validation suite
 
 All configuration is by flags; reports are JSON (deterministic up to the
 timings field) with --pretty for a human-readable table.  Exit codes:
-0 success, 1 a check or route comparison failed, 2 malformed input.
+0 success, 1 a check or route comparison failed, 2 malformed input,
+3 a compute limit was hit (a truncation or degree bound; stderr starts
+with "compute limit:").
 """
 
 from __future__ import annotations
@@ -30,13 +32,8 @@ from klsc.coxeter import (
     group_from_json,
     word_from_permutation,
 )
-from klsc.errors import KlscError
-from klsc.fans import (
-    Fan,
-    build_fan_sheaf,
-    cone_over_polytope,
-    fan_face_poset,
-)
+from klsc.errors import DegreeBoundError, KlscError, TruncationBoundError
+from klsc.fans import Fan, build_fan_sheaf, cone_over_polytope
 from klsc.field import GF, QQ
 from klsc.kls import (
     coxeter_R_kernel,
@@ -82,24 +79,30 @@ class _InputError(Exception):
 
 
 def _matroid_from_json(data) -> Matroid:
-    if "bases" in data:
-        return Matroid.from_bases(int(data["ground_set"]), data["bases"])
-    if "flats" in data:
-        return Matroid.from_flats(int(data["ground_set"]), data["flats"])
-    if "matrix" in data:
-        cols = [list(col) for col in data["matrix"]]
-        return Matroid.from_matrix(cols)
-    if "uniform" in data:
-        k, n = data["uniform"]
-        return Matroid.uniform(int(k), int(n))
+    try:
+        if "bases" in data:
+            return Matroid.from_bases(int(data["ground_set"]), data["bases"])
+        if "flats" in data:
+            return Matroid.from_flats(int(data["ground_set"]), data["flats"])
+        if "matrix" in data:
+            cols = [list(col) for col in data["matrix"]]
+            return Matroid.from_matrix(cols)
+        if "uniform" in data:
+            k, n = data["uniform"]
+            return Matroid.uniform(int(k), int(n))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _InputError(f"bad matroid JSON: {exc!r}") from exc
     raise _InputError("matroid JSON needs 'bases', 'flats', 'matrix' or 'uniform'")
 
 
 def _fan_from_json(data) -> Fan:
-    if "polytope_vertices" in data:
-        return cone_over_polytope(data["polytope_vertices"])
-    if "rays" in data and "max_cones" in data:
-        return Fan.from_max_cones(int(data["dim"]), data["rays"], data["max_cones"])
+    try:
+        if "polytope_vertices" in data:
+            return cone_over_polytope(data["polytope_vertices"])
+        if "rays" in data and "max_cones" in data:
+            return Fan.from_max_cones(int(data["dim"]), data["rays"], data["max_cones"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _InputError(f"bad fan JSON: {exc!r}") from exc
     raise _InputError("fan JSON needs 'polytope_vertices' or 'rays'+'max_cones'")
 
 
@@ -229,9 +232,8 @@ def _cmd_kls(args):
 def _cmd_fan(args):
     data = _load_input(args.input)
     fan = _fan_from_json(data)
-    poset = fan_face_poset(fan)
     t0 = time.time()
-    _, sheaf = build_fan_sheaf(fan)
+    poset, sheaf = build_fan_sheaf(fan)
     bottom, top = poset.bottom(), poset.top()
     # the recursion route runs on the face poset of a single cone, which is
     # bounded and Eulerian; complete fans have several maximal cones
@@ -298,10 +300,10 @@ def _cmd_matroid(args):
             matroid, field.characteristic
         )
     if args.compare_recursion:
-        table = solve_kls(matroid_kernel(L))
         if field.characteristic:
             checks["compare_recursion"] = "skipped (recursion is characteristic 0)"
         else:
+            table = solve_kls(matroid_kernel(L))
             agree = all(
                 sheaf.stalk_poincare(j) == table[(j, L.top())] for j in L.elements()
             )
@@ -318,9 +320,15 @@ def _cmd_coxeter(args):
     if args.type:
         group = CoxeterGroup(CartanDatum.from_type(args.type))
     elif args.cartan:
-        group = CoxeterGroup(CartanDatum.from_matrix(json.loads(args.cartan)))
+        try:
+            rows = json.loads(args.cartan)
+        except json.JSONDecodeError as exc:
+            raise _InputError(f"bad --cartan {args.cartan!r}: {exc}") from exc
+        group = CoxeterGroup(CartanDatum.from_matrix(rows))
     else:
         raise _InputError("need --type or --cartan")
+    if args.degree_bound is not None and args.degree_bound < 0:
+        raise _InputError("--degree-bound must be >= 0")
     w = _parse_word(args.w, group)
     v = _parse_word(args.v, group)
     field = _field_of(args.char)
@@ -434,6 +442,9 @@ def main(argv=None):
     except _InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except (TruncationBoundError, DegreeBoundError) as exc:
+        print(f"compute limit: {exc}", file=sys.stderr)
+        return 3
     except KlscError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -97,7 +97,10 @@ class CartanDatum:
 
     @staticmethod
     def from_matrix(rows) -> "CartanDatum":
-        m = [list(map(int, r)) for r in rows]
+        try:
+            m = [list(map(int, r)) for r in rows]
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"Cartan matrix must be rows of integers: {exc}") from exc
         n = len(m)
         for i in range(n):
             if len(m[i]) != n:

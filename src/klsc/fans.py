@@ -503,35 +503,20 @@ class FanLocalModel:
     def boundary(self, x, view):
         from klsc.graded import GradedModule
 
-        field = self.field
         chart_x = self.charts[x]
-        nx = chart_x.nvars
         bound = view.sheaf.bound
-        layouts = [view.layout(d) for d in range(bound + 1)]
-        ambient_dims = [len(lay) for lay in layouts]
-        bases = [list(view.bases[d]) for d in range(bound + 1)]
-        restr = {}
-        for y in view.elems:
-            restr[y] = chart_x.restriction_matrix(self.charts[y])
-        raising = []
-        for v in range(nx):
-            mats = []
-            for d in range(bound):
-                pos = {key: c for c, key in enumerate(layouts[d + 1])}
-                rows = [
-                    [field.zero] * ambient_dims[d] for _ in range(ambient_dims[d + 1])
-                ]
-                for c, (y, gi, m) in enumerate(layouts[d]):
-                    form = restr[y][v]
-                    for j, coeff in enumerate(form):
-                        if field.is_zero(coeff):
-                            continue
-                        e = list(m)
-                        e[j] += 1
-                        rows[pos[(y, gi, tuple(e))]][c] = coeff
-                mats.append(rows)
-            raising.append(mats)
-        module = GradedModule(field, nx, bound, ambient_dims, bases, raising)
+        ambient_dims = [len(view.layout(d)) for d in range(bound + 1)]
+        restr = {y: chart_x.restriction_matrix(self.charts[y]) for y in view.elems}
+        raising = [
+            [
+                view.sheaf.raising(view.elems, d, lambda y: restr[y][v])
+                for d in range(bound)
+            ]
+            for v in range(chart_x.nvars)
+        ]
+        module = GradedModule(
+            self.field, chart_x.nvars, bound, ambient_dims, view.bases, raising
+        )
 
         def res(degree, svec):
             return svec

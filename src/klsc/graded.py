@@ -2,7 +2,9 @@
 
 A graded module is stored one half-degree at a time: an ambient coordinate
 space, a basis of the realized subspace, and for each ring variable the
-degree-raising map on ambient coordinates.  The one nontrivial operation
+degree-raising map on ambient coordinates, kept row-sparse (per target
+coordinate, the nonzero (column, coefficient) pairs), since multiplying by
+a variable touches only a few monomials.  The one nontrivial operation
 is minimal generator extraction: the multiset of degrees in which the
 module needs generators, i.e. the shape of its minimal free cover,
 
@@ -91,8 +93,9 @@ class GradedModule:
     ambient_dims : list of ambient coordinate dimensions, length D+1
     bases : per degree, a list of basis vectors of the realized subspace
     raising : raising[v][i] is multiplication by variable v from ambient
-        degree i to i+1, as a row-major matrix acting on column vectors
-        (raising[v][i][r][c] with r < ambient_dims[i+1], c < ambient_dims[i])
+        degree i to i+1, as ambient_dims[i+1] sparse rows: raising[v][i][r]
+        lists the (c, coefficient) pairs, c < ambient_dims[i], with a
+        nonzero coefficient of coordinate c in output coordinate r
     """
 
     def __init__(self, field, nvars, bound, ambient_dims, bases, raising):
@@ -194,12 +197,11 @@ def free_graded_module(field, nvars, shape: FreeModuleShape, bound) -> GradedMod
     for var in range(nvars):
         mats = []
         for i in range(bound):
-            rows = [[field.zero] * ambient_dims[i] for _ in range(ambient_dims[i + 1])]
+            # a variable maps each monomial to one monomial: a partial permutation
+            rows = [[] for _ in layout[i + 1]]
             for pos, (gi, m) in enumerate(layout[i]):
-                e = list(m)
-                e[var] += 1
-                out_pos = index[i + 1][(gi, tuple(e))]
-                rows[out_pos][pos] = field.one
+                e = m[:var] + (m[var] + 1,) + m[var + 1 :]
+                rows[index[i + 1][(gi, e)]].append((pos, field.one))
             mats.append(rows)
         raising.append(mats)
     return GradedModule(field, nvars, bound, ambient_dims, bases, raising)

@@ -1,6 +1,8 @@
 """Exact dense linear algebra over a scalar field.
 
-Vectors are plain Python lists, matrices are lists of row vectors.
+Vectors are plain Python lists, matrices are lists of row vectors; the
+one exception is ``matvec``, whose matrix is row-sparse.
+
 Everything reduces to one workhorse, :class:`RowSpace`, an incrementally
 maintained reduced row echelon basis:
 
@@ -325,13 +327,6 @@ def rref(rows, ncols, field):
     return [list(row_map[c]) for c in pivots], pivots
 
 
-def rank(rows, ncols, field):
-    space = RowSpace(field, ncols)
-    for r in rows:
-        space.add(r)
-    return space.dim
-
-
 def kernel_basis(rows, ncols, field):
     """Basis of the right kernel {x : A x = 0} of the matrix with the given
     rows.  The empty kernel is the empty list (not an error).  Over QQ the
@@ -380,20 +375,15 @@ def solve_linear(rows, b, field):
     return x
 
 
-def image_basis(rows, ncols, field):
-    """Basis of the column space of the matrix, as vectors of length nrows."""
-    nrows = len(rows)
-    cols = [[rows[i][j] for i in range(nrows)] for j in range(ncols)]
-    basis, _ = rref(cols, nrows, field)
-    return basis
-
-
 def matvec(rows, x, field):
+    """The product A x of a row-sparse matrix, each row a list of its
+    nonzero (column, coefficient) pairs, with a dense vector."""
     out = []
     for r in rows:
         acc = field.zero
-        for a, b in zip(r, x):
-            if a and b:
+        for c, a in r:
+            b = x[c]
+            if b:
                 acc = field.add(acc, field.mul(a, b))
         out.append(acc)
     return out

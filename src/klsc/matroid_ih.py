@@ -33,7 +33,7 @@ import numpy as _np
 from klsc.errors import DegreeBoundError, TruncationBoundError
 from klsc.field import QQ
 from klsc.graded import FreeModuleShape, GradedModule
-from klsc.linalg import RowSpace, kernel_basis
+from klsc.linalg import RowSpace, kernel_basis, matvec
 from klsc.matroids import Matroid
 from klsc.poly import UniPoly
 
@@ -477,19 +477,16 @@ class MatroidLocalModel:
                 v[c] = field.one
                 eye.append(v)
             bases.append(eye)
+        # h acts on the quotient coordinates of each representative
         raising = [[]]
         for d in range(bound):
-            rows = [
-                [field.zero] * ambient_dims[d] for _ in range(ambient_dims[d + 1])
-            ]
+            h = view.sheaf.raising(view.elems, d, lambda y: [field.one])
+            rows = [[] for _ in range(ambient_dims[d + 1])]
             for j, v in enumerate(reps[d]):
-                shifted = [field.zero] * len(layouts[d + 1])
-                for c, (h, gi, m) in enumerate(layouts[d]):
-                    if not field.is_zero(v[c]):
-                        shifted[positions[d + 1][(h, gi, (m[0] + 1,))]] = v[c]
-                qc = to_quotient_coords(shifted, d + 1)
-                for r in range(ambient_dims[d + 1]):
-                    rows[r][j] = qc[r]
+                qc = to_quotient_coords(matvec(h, v, field), d + 1)
+                for r, a in enumerate(qc):
+                    if not field.is_zero(a):
+                        rows[r].append((j, a))
             raising[0].append(rows)
         module = GradedModule(field, 1, bound, ambient_dims, bases, raising)
 

@@ -18,12 +18,21 @@ coordinate projections, and flabbiness is a rank check.
 
 There is no uniform recipe for the boundary module; each instantiation
 (fans, matroid lattices) supplies its own through the LocalModel hooks.
+What they share is the ring action: multiplication by a linear form on
+localization coordinates is built in one place, ``PosetSheaf.raising``,
+as sparse rows.  Local models use it for the raising maps of their
+boundary modules, and ``sections_shape`` for the ambient ring.
 """
 
 from __future__ import annotations
 
 from klsc.errors import DegreeBoundError
-from klsc.graded import FreeModuleShape, minimal_generators
+from klsc.graded import (
+    FreeModuleShape,
+    GradedModule,
+    minimal_generator_degrees,
+    minimal_generators,
+)
 from klsc.linalg import RowSpace, kernel_basis
 from klsc.poly import UniPoly, monomials
 from klsc.poset import RankedPoset, UpperSet
@@ -114,48 +123,36 @@ class PosetSheaf:
         """Degreewise dimensions of F(Q)."""
         return [self.section_space(upper.mask, d).dim for d in range(self.bound + 1)]
 
-    def _raise_coord_vector(self, elems, degree, vec, ambient_var):
-        """Multiply a coordinate vector by an ambient ring variable."""
-        layout = self.layout(elems, degree)
-        target = self.layout(elems, degree + 1)
-        tpos = {key: c for c, key in enumerate(target)}
-        out = [self.field.zero] * len(target)
+    def raising(self, elems, degree, form_of):
+        """Multiplication by a linear form on the localization coordinates
+        over elems, from the given degree to the next, as sparse rows in the
+        format of GradedModule.raising; form_of(y) is the form in the
+        variables of R_y."""
         field = self.field
-        for c, (y, gi, m) in enumerate(layout):
-            a = vec[c]
-            if field.is_zero(a):
-                continue
-            ny = self.model.nvars(y)
-            form = self.model.ambient_var_form(y, ambient_var)
-            for j, coeff in enumerate(form):
-                if field.is_zero(coeff):
-                    continue
-                e = list(m)
-                e[j] += 1
-                out[tpos[(y, gi, tuple(e))]] = field.add(
-                    out[tpos[(y, gi, tuple(e))]], field.mul(a, coeff)
-                )
-        return out
+        target = {key: c for c, key in enumerate(self.layout(elems, degree + 1))}
+        rows = [[] for _ in target]
+        for c, (y, gi, m) in enumerate(self.layout(elems, degree)):
+            for j, coeff in enumerate(form_of(y)):
+                if not field.is_zero(coeff):
+                    e = m[:j] + (m[j] + 1,) + m[j + 1 :]
+                    rows[target[(y, gi, e)]].append((c, coeff))
+        return rows
 
     def sections_shape(self, upper: UpperSet) -> FreeModuleShape:
         """Minimal generator degrees of F(Q) over the ambient ring."""
         elems = self._sorted_upper(upper.mask)
-        degrees = []
-        prev = None
-        for d in range(self.bound + 1):
-            cur = self.section_space(upper.mask, d)
-            layout_len = cur.ncols
-            span = RowSpace(self.field, layout_len)
-            if prev is not None:
-                for v in prev.basis():
-                    for a in range(self.model.ambient_nvars):
-                        span.add(self._raise_coord_vector(elems, d - 1, v, a))
-            base = span.dim
-            for v in cur.basis():
-                span.add(v)
-            degrees.extend([d] * (span.dim - base))
-            prev = cur
-        return FreeModuleShape(degrees)
+        model = self.model
+        spaces = [self.section_space(upper.mask, d) for d in range(self.bound + 1)]
+        raising = [
+            [
+                self.raising(elems, d, lambda y: model.ambient_var_form(y, a))
+                for d in range(self.bound)
+            ]
+            for a in range(model.ambient_nvars)
+        ]
+        dims, bases = [sp.ncols for sp in spaces], [sp.basis() for sp in spaces]
+        module = GradedModule(self.field, model.ambient_nvars, self.bound, dims, bases, raising)
+        return minimal_generator_degrees(module)
 
     def sections_poincare(self, upper: UpperSet) -> UniPoly:
         return self.sections_shape(upper).poincare()

@@ -66,3 +66,15 @@ def brute_mobius(poset, x, y):
         if z != y:
             total += brute_mobius(poset, x, z)
     return -total
+
+
+def dense_matvec(rows, x, field):
+    """A x for a dense matrix given by its rows, straight from the
+    definition."""
+    out = []
+    for r in rows:
+        acc = field.zero
+        for a, b in zip(r, x):
+            acc = field.add(acc, field.mul(a, b))
+        out.append(acc)
+    return out

@@ -57,6 +57,27 @@ class TestMatroidCommand:
         assert main(["matroid", "kl", "--input", path, "--char", "3037000493"]) == 2
         assert "not supported" in capsys.readouterr().err
 
+    def test_non_integer_ground_set_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "bad.json", {"ground_set": "x", "bases": [[0]]})
+        assert main(["matroid", "kl", "--input", path]) == 2
+        assert "bad matroid JSON" in capsys.readouterr().err
+
+    def test_non_numeric_matrix_entry_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "bad.json", {"matrix": [[1, "a"], [0, 1]]})
+        assert main(["matroid", "kl", "--input", path]) == 2
+        assert "bad matroid JSON" in capsys.readouterr().err
+
+    def test_char_p_comparison_does_not_solve_the_recursion(self, tmp_path, capsys, monkeypatch):
+        def refuse(kernel):
+            raise AssertionError("the recursion is characteristic 0 only")
+
+        monkeypatch.setattr("klsc.cli.solve_kls", refuse)
+        path = write(tmp_path, "u34.json", U34)
+        code = main(["matroid", "kl", "--input", path, "--char", "2", "--compare-recursion"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["checks"]["compare_recursion"].startswith("skipped")
+
     def test_degree_bound_is_coxeter_only(self, tmp_path, capsys):
         path = write(tmp_path, "u34.json", U34)
         with pytest.raises(SystemExit) as exc:
@@ -137,6 +158,12 @@ class TestFanCommand:
         assert code == 0
         capsys.readouterr()
 
+    def test_non_integer_dimension_exits_2(self, tmp_path, capsys):
+        data = {"dim": "x", "rays": [[1, 0]], "max_cones": [[0]]}
+        path = write(tmp_path, "bad.json", data)
+        assert main(["fan", "g", "--input", path]) == 2
+        assert "bad fan JSON" in capsys.readouterr().err
+
 
 class TestCoxeterCommand:
     def test_a3_3412(self, capsys):
@@ -165,6 +192,25 @@ class TestCoxeterCommand:
     def test_bad_type_exits_2(self, capsys):
         assert main(["coxeter", "kl", "--type", "H3", "--w", "1"]) == 2
         capsys.readouterr()
+
+    def test_unparsable_cartan_exits_2(self, capsys):
+        assert main(["coxeter", "kl", "--cartan", "[[2,-1]", "--w", "1"]) == 2
+        assert "bad --cartan" in capsys.readouterr().err
+
+    def test_non_matrix_cartan_exits_2(self, capsys):
+        assert main(["coxeter", "kl", "--cartan", "5", "--w", "1"]) == 2
+        assert "Cartan matrix" in capsys.readouterr().err
+
+    def test_negative_degree_bound_exits_2(self, capsys):
+        argv = ["coxeter", "kl", "--type", "A2", "--w", "1,2", "--degree-bound", "-1"]
+        assert main(argv) == 2
+        assert "--degree-bound" in capsys.readouterr().err
+
+    def test_compute_limit_exits_3(self, capsys):
+        argv = ["coxeter", "kl", "--type", "A2", "--w", "1,2", "--degree-bound", "0"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("compute limit:") and captured.out == ""
 
 
 class TestKlsCommand:

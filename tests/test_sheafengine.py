@@ -1,11 +1,12 @@
 """The generic sheaf engine: base cases, boundary modules, determinism."""
 
 from klsc.fans import Fan, FanLocalModel, build_fan_sheaf, face_lattice, fan_face_poset
+from klsc.field import QQ
 from klsc.graded import FreeModuleShape, GradedModule, minimal_generator_degrees
 from klsc.matroids import Matroid
 from klsc.matroid_ih import MatroidLocalModel
 from klsc.poset import UpperSet
-from klsc.poly import UniPoly
+from klsc.poly import MultiPoly, UniPoly
 from klsc.sheaf import SectionView, build_sheaf
 
 SQUARE_CONE_RAYS = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
@@ -67,6 +68,28 @@ class TestBoundaryModules:
             (0, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 3)
         )
         assert sheaf.sections_poincare(full) == UniPoly((1, 6, 6, 1))
+
+
+class TestRaising:
+    def test_columns_are_products_with_the_form(self):
+        # column (y, g, m) of the map holds the coefficients of m * form(y)
+        poset, sheaf = build_fan_sheaf(face_lattice(SQUARE_CONE_RAYS, 3))
+        elems = sheaf._sorted_upper(poset.up[poset.bottom()])
+
+        def form_of(y):
+            return sheaf.model.ambient_var_form(y, 2)
+
+        for d in range(sheaf.bound):
+            rows = sheaf.raising(elems, d, form_of)
+            target = sheaf.layout(elems, d + 1)
+            assert len(rows) == len(target)
+            for c, (y, gi, m) in enumerate(sheaf.layout(elems, d)):
+                n = sheaf.model.nvars(y)
+                prod = MultiPoly(QQ, n, {m: QQ.one}) * MultiPoly.linear_form(QQ, form_of(y))
+                column = {r: a for r, row in enumerate(rows) for cc, a in row if cc == c}
+                assert column == {
+                    target.index((y, gi, e)): a for e, a in prod.terms.items()
+                }
 
 
 class TestSingleSweep:
