@@ -18,8 +18,12 @@ whichever rational backend is installed: every basis row is a primitive
 vector of Python ints with a positive pivot entry, input vectors are
 cleared of denominators on entry, and ``reduce`` divides by the scale it
 accumulated once at the end, so its residual is exactly the one a
-unit-pivot echelon gives.  Over GF(p) rows are numpy int64 arrays with
-unit pivots.
+unit-pivot echelon gives.  Over GF(2) every untagged row is one Python
+int with one byte per column, so a reduction step is a single XOR (the
+packed rows of Albrecht, Bard and Hart, ACM TOMS 37, 2010); over GF(p),
+p > 2, and in tagged mode rows are numpy int64 arrays with unit pivots.
+Either way the vectors handed out over GF(p) are int64 arrays.  numpy is
+imported at the first GF(p) computation, so QQ-only runs never load it.
 
 Row order never affects computed dimensions; pivots are always the
 leftmost nonzero column, so results are deterministic.
@@ -30,9 +34,20 @@ from __future__ import annotations
 from itertools import compress, count
 from math import gcd, lcm
 
-import numpy as np
-
 from klsc.errors import InconsistentSystemError, KlscError
+
+np = None  # numpy, bound by load_numpy at the first GF(p) computation
+
+
+def load_numpy():
+    """The numpy module, imported on the first call.  Only GF(p) work
+    needs it, and importing it is most of a QQ-only CLI call's start-up."""
+    global np
+    if np is None:
+        import numpy
+
+        np = numpy
+    return np
 
 
 class RowSpace:
@@ -42,14 +57,16 @@ class RowSpace:
     other rows, so reducing a vector is a single pass over the stored rows.
     Over QQ each row is a primitive int list with a positive pivot entry
     pv, kept with its nonzero (column, entry) pairs; reducing v against it
-    computes pv*v - v[pivot]*row over those pairs only.  Over GF(p) a dense
-    vectorized variant is used instead (see _GFRowSpace), or, in tagged
-    mode, numpy rows with unit pivots (_GFTaggedRowSpace).
+    computes pv*v - v[pivot]*row over those pairs only.  Over GF(p) rows
+    have unit pivots and live in _GFRowSpace (XOR-packed ints over GF(2),
+    one int64 matrix otherwise), or, in tagged mode, in _GFTaggedRowSpace.
     """
 
     def __new__(cls, field, ncols, tagged=False):
-        if cls is RowSpace and field.characteristic > 0:
-            return super().__new__(_GFTaggedRowSpace if tagged else _GFRowSpace)
+        if field.characteristic > 0:
+            load_numpy()
+            if cls is RowSpace:
+                return super().__new__(_GFTaggedRowSpace if tagged else _GFRowSpace)
         return super().__new__(cls)
 
     def __init__(self, field, ncols, tagged=False):
@@ -232,11 +249,24 @@ class _GFTaggedRowSpace(RowSpace):
 
 
 class _GFRowSpace(RowSpace):
-    """Dense RowSpace over GF(p): rows live in one preallocated int64
-    matrix, reduction is a single matrix-vector product, and clearing a
-    new pivot column is one outer-product update.  Entries stay in [0, p),
-    so a reduction sums at most ncols products below (p-1)^2; that sum
-    must fit in int64, which the constructor checks."""
+    """Untagged RowSpace over GF(p), in one of two layouts chosen from p.
+
+    Over GF(2) a row is one Python int holding one byte per column, the
+    entry of column j in bit 8j, and the rows are keyed by pivot column in
+    _xor.  A row's pivot is its lowest set bit.  Reducing v XORs in, lowest
+    first, the row of each pivot column where v has a one; add stores the
+    reduced vector as a new row and does nothing else.  The older rows are
+    cleared in the new pivot columns, with one XOR per row and column, only
+    when rows or basis reads them, so a run of adds pays for that once and
+    what is read is the reduced echelon form.  Vectors are packed on entry
+    with their entries taken mod 2, and unpacked to int64 arrays on the way
+    out.
+
+    Over GF(p), p > 2, rows live in one preallocated int64 matrix,
+    reduction is a single matrix-vector product, and clearing a new pivot
+    column is one outer-product update.  Entries stay in [0, p), so a
+    reduction sums at most ncols products below (p-1)^2; that sum must fit
+    in int64, which the constructor checks."""
 
     def __init__(self, field, ncols, tagged=False):
         if ncols * (field.p - 1) ** 2 >= 2**63:
@@ -246,11 +276,17 @@ class _GFRowSpace(RowSpace):
         self.field = field
         self.ncols = ncols
         self.p = field.p
-        self._cap = 8
-        self._buf = np.zeros((self._cap, max(ncols, 1)), dtype=np.int64)
-        self._k = 0
-        self._pivots = []
         self.tags = None
+        self._pivots = []
+        if self.p == 2:
+            self._xor = {}  # pivot column -> packed row
+            self._pivot_bits = 0  # bit 8c set for every pivot column c
+            self._ones = int.from_bytes(b"\1" * ncols, "little")
+        else:
+            self._xor = None
+            self._cap = 8
+            self._buf = np.zeros((self._cap, max(ncols, 1)), dtype=np.int64)
+            self._k = 0
 
     @property
     def dim(self):
@@ -258,14 +294,65 @@ class _GFRowSpace(RowSpace):
 
     @property
     def rows(self):
+        if self._xor is not None:
+            self._back_substitute()
+            return dict(zip(self._xor, self._unpack(list(self._xor.values()))))
         return {c: self._buf[i, : self.ncols] for i, c in enumerate(self._pivots)}
 
     def basis(self):
         """Basis rows in increasing pivot order, as int64 arrays."""
+        if self._xor is not None:
+            self._back_substitute()
+            return self._unpack([self._xor[c] for c in sorted(self._xor)])
         order = sorted(range(self._k), key=lambda i: self._pivots[i])
         return [self._buf[i, : self.ncols].copy() for i in order]
 
+    # -- GF(2) packing ---------------------------------------------------------------
+
+    def _pack(self, v):
+        """v mod 2 as an int with the entry of column j in bit 8j."""
+        if isinstance(v, np.ndarray):
+            # the cast keeps each entry mod 256, so its low bit is v[j] mod 2
+            return int.from_bytes(v.astype(np.uint8).tobytes(), "little") & self._ones
+        return int.from_bytes(bytes([x & 1 for x in v]), "little")
+
+    def _unpack(self, packed):
+        """A list of packed rows as a list of int64 arrays."""
+        n = self.ncols
+        raw = b"".join([w.to_bytes(n, "little") for w in packed])
+        return list(np.frombuffer(raw, np.uint8).reshape(len(packed), n).astype(np.int64))
+
+    def _xor_reduce(self, w):
+        """The packed w minus its components along the basis rows."""
+        rows, bits = self._xor, self._pivot_bits
+        # a row is zero below its pivot, so each step leaves the lower
+        # pivot columns of w clear
+        hits = w & bits
+        while hits:
+            low = hits & -hits
+            w ^= rows[low.bit_length() >> 3]
+            hits = w & bits
+        return w
+
+    def _back_substitute(self):
+        """Clear each pivot column in the other rows, last pivot first:
+        the rows with later pivots are then reduced already, so XOR-ing one
+        in clears its own pivot column and no other."""
+        rows, bits = self._xor, self._pivot_bits
+        for c in sorted(rows, reverse=True):
+            row = rows[c]
+            hits = row & bits & ~(1 << 8 * c)
+            while hits:
+                low = hits & -hits
+                row ^= rows[low.bit_length() >> 3]
+                hits ^= low
+            rows[c] = row
+
+    # -- elimination -----------------------------------------------------------------
+
     def _reduce_internal(self, v, tag=None):
+        if self._xor is not None:
+            return self._unpack([self._xor_reduce(self._pack(v))])[0], tag, 1
         if isinstance(v, np.ndarray):
             v = v % self.p
         else:
@@ -278,6 +365,16 @@ class _GFRowSpace(RowSpace):
         return v, tag, 1
 
     def add(self, v, tag=None):
+        if self._xor is not None:
+            w = self._xor_reduce(self._pack(v))
+            if not w:
+                return None
+            low = w & -w
+            pivot = low.bit_length() >> 3  # bit 8c has bit length 8c + 1
+            self._xor[pivot] = w
+            self._pivot_bits |= low
+            self._pivots.append(pivot)
+            return pivot
         v, _, _ = self._reduce_internal(v)
         nz = np.nonzero(v)[0]
         if not len(nz):
@@ -304,15 +401,21 @@ class _GFRowSpace(RowSpace):
         return pivot
 
     def contains(self, v):
+        if self._xor is not None:
+            return not self._xor_reduce(self._pack(v))
         res, _, _ = self._reduce_internal(v)
         return not res.any()
 
     def copy(self):
         out = _GFRowSpace(self.field, self.ncols)
-        out._cap = self._cap
-        out._buf = self._buf.copy()
-        out._k = self._k
         out._pivots = list(self._pivots)
+        if self._xor is not None:
+            out._xor = dict(self._xor)
+            out._pivot_bits = self._pivot_bits
+        else:
+            out._cap = self._cap
+            out._buf = self._buf.copy()
+            out._k = self._k
         return out
 
 
@@ -330,20 +433,24 @@ def rref(rows, ncols, field):
 def kernel_basis(rows, ncols, field):
     """Basis of the right kernel {x : A x = 0} of the matrix with the given
     rows.  The empty kernel is the empty list (not an error).  Over QQ the
-    vectors are primitive int vectors, one per free column."""
+    vectors are primitive int vectors, one per free column; over GF(p) they
+    are int64 arrays with a one in their free column."""
+    if field.characteristic:
+        space = RowSpace(field, ncols)
+        for r in rows:
+            space.add(r)
+        pivots = sorted(space._pivots)
+        pivot_set = set(pivots)
+        free_cols = [c for c in range(ncols) if c not in pivot_set]
+        out = np.zeros((len(free_cols), ncols), dtype=np.int64)
+        out[range(len(free_cols)), free_cols] = 1
+        if pivots and free_cols:
+            mat = np.array(space.basis())
+            out[:, pivots] = (-mat[:, free_cols].T) % field.p
+        return list(out)
     basis, pivots = rref(rows, ncols, field)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
-    if field.characteristic and basis:
-        mat = np.array(basis, dtype=np.int64)
-        piv = np.array(pivots, dtype=np.intp)
-        out = []
-        for fc in free_cols:
-            v = np.zeros(ncols, dtype=np.int64)
-            v[fc] = 1
-            v[piv] = (-mat[:, fc]) % field.p
-            out.append(v)
-        return out
     out = []
     for fc in free_cols:
         # each pivot row: pv*x_pivot + sum(row[c] x_c for free c) = 0

@@ -28,12 +28,10 @@ rejected; they are what make the mod-p polynomials differ.
 
 from __future__ import annotations
 
-import numpy as _np
-
 from klsc.errors import DegreeBoundError, TruncationBoundError
 from klsc.field import QQ
 from klsc.graded import FreeModuleShape, GradedModule
-from klsc.linalg import RowSpace, kernel_basis, matvec
+from klsc.linalg import RowSpace, kernel_basis, load_numpy, matvec
 from klsc.matroids import Matroid
 from klsc.poly import UniPoly
 
@@ -58,6 +56,7 @@ class MatroidIHSheaf:
         self.lattice = matroid.lattice()
         self.enforce = field.characteristic == 0
         self.np_vectors = field.characteristic > 0
+        self._np = load_numpy() if self.np_vectors else None
 
         L = self.lattice
         self.leq = L.leq
@@ -135,12 +134,11 @@ class MatroidIHSheaf:
                 out[new_pos[key]] = a if scale is None else field.mul(a, scale)
         return out
 
-    @staticmethod
-    def _scatter(vec, positions, size):
+    def _scatter(self, vec, positions, size):
         """Place vec[i] at positions[i] in a fresh vector of the given
-        size; vectorized when vec is an array."""
-        if isinstance(vec, _np.ndarray):
-            out = _np.zeros(size, dtype=_np.int64)
+        size; vectorized over GF(p), where vectors are arrays."""
+        if self.np_vectors:
+            out = self._np.zeros(size, dtype=self._np.int64)
             out[positions] = vec
             return out
         out = [0] * size
@@ -149,11 +147,10 @@ class MatroidIHSheaf:
                 out[p] = a
         return out
 
-    @staticmethod
-    def _gather_scatter(vec, src_positions, dst_positions, size):
+    def _gather_scatter(self, vec, src_positions, dst_positions, size):
         """out[dst[i]] = vec[src[i]], zero elsewhere."""
-        if isinstance(vec, _np.ndarray):
-            out = _np.zeros(size, dtype=_np.int64)
+        if self.np_vectors:
+            out = self._np.zeros(size, dtype=self._np.int64)
             out[dst_positions] = vec[src_positions]
             return out
         out = [0] * size
@@ -185,7 +182,7 @@ class MatroidIHSheaf:
 
         def shift_positions(src_layout):
             out = [pos[key] for key in src_layout]
-            return _np.array(out, dtype=_np.intp) if self.np_vectors else out
+            return self._np.array(out, dtype=self._np.intp) if self.np_vectors else out
 
         rows = []
         for a, child, fmap in self.children:
@@ -195,7 +192,7 @@ class MatroidIHSheaf:
             inv = {v: k for k, v in fmap.items()}
             positions = [pos[(inv[cf], gi)] for (cf, gi) in child_layout]
             if self.np_vectors:
-                positions = _np.array(positions, dtype=_np.intp)
+                positions = self._np.array(positions, dtype=self._np.intp)
             for func in child_ann:
                 rows.append(self._scatter(func, positions, size))
         fspace = RowSpace(field, size)
@@ -235,8 +232,8 @@ class MatroidIHSheaf:
                     src_positions.append(c)
                     dst_positions.append(pos[(h, gi)])
             if self.np_vectors:
-                src_positions = _np.array(src_positions, dtype=_np.intp)
-                dst_positions = _np.array(dst_positions, dtype=_np.intp)
+                src_positions = self._np.array(src_positions, dtype=self._np.intp)
+                dst_positions = self._np.array(dst_positions, dtype=self._np.intp)
             for v in self._new_f[d - rg]:
                 nspace.add(
                     self._gather_scatter(v, src_positions, dst_positions, size)

@@ -8,6 +8,8 @@ at the scales this package works at (a few thousand elements).
 
 from __future__ import annotations
 
+import operator
+
 from klsc.errors import InvalidInputError, NotLatticeError
 from klsc.poly import UniPoly
 
@@ -22,7 +24,7 @@ class RankedPoset:
         if n > MAX_ELEMENTS:
             raise InvalidInputError(f"poset with {n} elements exceeds the desk-scale cap")
         self.n = n
-        self.rank = [int(r) for r in ranks]
+        self.rank = [operator.index(r) for r in ranks]  # int() would truncate 1.5
         if any(r < 0 for r in self.rank):
             raise InvalidInputError("ranks must be non-negative")
         self.names = list(names) if names is not None else [str(i) for i in range(n)]
@@ -303,9 +305,12 @@ class RankedPoset:
             covers = data["covers"]
         except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"poset JSON missing field: {exc}") from exc
-        if len(names) != len(ranks):
-            raise InvalidInputError("elements and rank arrays differ in length")
-        return RankedPoset(ranks, [tuple(c) for c in covers], names=names)
+        try:
+            if len(names) != len(ranks):
+                raise InvalidInputError("elements and rank arrays differ in length")
+            return RankedPoset(ranks, [tuple(c) for c in covers], names=names)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"bad poset JSON: {exc!r}") from exc
 
     def to_json(self):
         return {

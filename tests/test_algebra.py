@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -103,6 +104,7 @@ def _gf_systems(draw):
     which maximizes the int64 products."""
     p = draw(
         st.one_of(
+            st.just(2),
             st.just(LARGEST_PRIME),
             st.integers(2, MAX_CHARACTERISTIC - 1).map(_prime_at_most),
         )
@@ -116,6 +118,34 @@ def _gf_systems(draw):
         for i in range(nrows)
     ]
     return p, ncols, rows
+
+
+@st.composite
+def _gf2_systems(draw):
+    """Rows of a random rank-r product mod 2, at widths on both sides of
+    the byte and word boundaries, with each entry replaced by another
+    representative of its class (-1 or 3 for a one, 2 or -2 for a zero)
+    and each vector given as a list or as an int64 array."""
+    ncols = draw(st.sampled_from([0, 1, 7, 8, 9, 65]))
+    nrows, r = draw(st.integers(0, 10)), draw(st.integers(1, 5))
+    bit = st.integers(0, 1)
+    a = [[draw(bit) for _ in range(r)] for _ in range(nrows + 1)]
+    b = [[draw(bit) for _ in range(ncols)] for _ in range(r)]
+    lifts = {0: st.sampled_from([0, 0, 2, -2]), 1: st.sampled_from([1, 1, -1, 3])}
+    vectors = []
+    for i in range(nrows + 1):
+        v = [draw(lifts[sum(a[i][k] * b[k][j] for k in range(r)) % 2]) for j in range(ncols)]
+        vectors.append(np.array(v, dtype=np.int64) if draw(st.booleans()) else v)
+    return ncols, vectors[:-1], vectors[-1]
+
+
+def _gf2_reduce(basis, v):
+    """v mod 2 minus its components along the reduced rows of basis."""
+    v = [int(x) % 2 for x in v]
+    for c, row in basis.items():
+        if v[c]:
+            v = [x ^ y for x, y in zip(v, row)]
+    return v
 
 
 def _fraction_reduce(basis, v):
@@ -226,6 +256,44 @@ class TestLinalg:
         for r in rows:
             space.add(r)
         assert space.dim == _rank_mod_p(rows, p)
+
+    @given(_gf2_systems())
+    def test_gf2_elimination_matches_pure_python(self, system):
+        ncols, rows, probe = system
+        F = GF(2)
+        space = RowSpace(F, ncols)
+        ref = {}  # pivot column -> reduced row, by mod-2 Gauss-Jordan
+        for r in rows:
+            v = _gf2_reduce(ref, r)
+            pivot = next((c for c, x in enumerate(v) if x), None)
+            assert space.add(r) == pivot
+            if pivot is not None:
+                for c, row in ref.items():
+                    if row[pivot]:
+                        ref[c] = [x ^ y for x, y in zip(row, v)]
+                ref[pivot] = v
+        pivots = sorted(ref)
+        assert space.dim == len(ref)
+        assert [list(map(int, row)) for row in space.basis()] == [ref[c] for c in pivots]
+        assert {c: list(map(int, row)) for c, row in space.rows.items()} == ref
+        assert [list(map(int, row)) for row in rref(rows, ncols, F)[0]] == [ref[c] for c in pivots]
+        assert rref(rows, ncols, F)[1] == pivots
+        residual = _gf2_reduce(ref, probe)
+        assert list(map(int, space.reduce(probe)[0])) == residual
+        assert space.contains(probe) == (not any(residual))
+        assert all(space.contains(r) for r in rows)
+        kernel = kernel_basis(rows, ncols, F)
+        assert len(kernel) == ncols - len(ref)
+        assert all(sum(int(x) * y for x, y in zip(r, k)) % 2 == 0 for r in rows for k in kernel)
+        # a copy grows on its own: the original keeps its rows
+        free = [c for c in range(ncols) if c not in ref]
+        if free:
+            copy = space.copy()
+            unit = [int(c == free[0]) for c in range(ncols)]
+            assert copy.add(unit) == free[0]
+            assert copy.dim == space.dim + 1
+            assert not space.contains(unit)
+            assert [list(map(int, row)) for row in space.basis()] == [ref[c] for c in pivots]
 
     def test_gf_elimination_refuses_int64_overflow(self):
         F = GF(LARGEST_PRIME)

@@ -1,6 +1,10 @@
 """The klsc command line: formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -240,6 +244,18 @@ class TestKlsCommand:
         assert code == 0
         assert out["f"]["sigma,0"]["coeffs"] == [1]
 
+    @pytest.mark.parametrize("field, value", [
+        ("rank", ["x", 1]),
+        ("rank", [0, 1.5]),
+        ("covers", [["a"]]),
+    ])
+    def test_malformed_poset_exits_2(self, tmp_path, capsys, field, value):
+        data = {"elements": ["a", "b"], "rank": [0, 1], "covers": [[0, 1]]}
+        data[field] = value
+        path = write(tmp_path, "poset.json", data)
+        assert main(["kls", "--kernel", "eulerian", "--input", path]) == 2
+        assert "bad poset JSON" in capsys.readouterr().err
+
     def test_coxeter_kernel(self, tmp_path, capsys):
         path = write(tmp_path, "cox.json", {"type": "A2", "w": [1, 2, 1]})
         code = main(["kls", "--kernel", "coxeter", "--input", path])
@@ -268,3 +284,16 @@ class TestDeterminism:
         assert code == 0
         text = out_path.read_text()
         assert "P: 1 + 2*t" in text
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is imported at the first GF(p) computation, not with the CLI
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, klsc.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
