@@ -81,15 +81,15 @@ class _InputError(Exception):
 def _matroid_from_json(data) -> Matroid:
     try:
         if "bases" in data:
-            return Matroid.from_bases(int(data["ground_set"]), data["bases"])
+            return Matroid.from_bases(data["ground_set"], data["bases"])
         if "flats" in data:
-            return Matroid.from_flats(int(data["ground_set"]), data["flats"])
+            return Matroid.from_flats(data["ground_set"], data["flats"])
         if "matrix" in data:
             cols = [list(col) for col in data["matrix"]]
             return Matroid.from_matrix(cols)
         if "uniform" in data:
             k, n = data["uniform"]
-            return Matroid.uniform(int(k), int(n))
+            return Matroid.uniform(k, n)
     except (KeyError, TypeError, ValueError) as exc:
         raise _InputError(f"bad matroid JSON: {exc!r}") from exc
     raise _InputError("matroid JSON needs 'bases', 'flats', 'matrix' or 'uniform'")

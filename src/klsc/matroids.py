@@ -4,7 +4,11 @@ A matroid is carried by its rank oracle; flats are enumerated by closure
 BFS and assembled into a geometric lattice (atomicity and semimodularity
 are checked).  Contractions are materialized as genuine matroids on a
 canonically relabelled ground set, which is what lets the sheaf machinery
-memoize isomorphic contractions.
+memoize isomorphic contractions.  A contraction M/F inherits its flats
+and their ranks from M (they are the flats G >= F, minus F), so only a
+matroid that is not a contraction runs the closure BFS; every lattice is
+still built and checked geometric.  A matroid given by its bases answers
+rank queries on int bitmasks.
 
 The graded Moebius algebra has basis y_F over the flats with
 
@@ -17,11 +21,27 @@ rk F.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from klsc.errors import InvalidInputError, NotGeometricError
 from klsc.field import GF, QQ
 from klsc.linalg import RowSpace
 from klsc.poset import RankedPoset
+
+
+def _index(value):
+    """An integer read from input; floats, strings and booleans are
+    refused, where int() would silently coerce them."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _mask(elems):
+    m = 0
+    for e in elems:
+        m |= 1 << e
+    return m
 
 
 class Matroid:
@@ -46,7 +66,8 @@ class Matroid:
 
     @staticmethod
     def from_bases(n, bases) -> "Matroid":
-        bs = [frozenset(b) for b in bases]
+        n = _index(n)
+        bs = [frozenset(_index(e) for e in b) for b in bases]
         if not bs:
             raise InvalidInputError("empty list of bases")
         size = len(bs[0])
@@ -54,23 +75,40 @@ class Matroid:
             raise InvalidInputError("bases of unequal size")
         if any(not b <= frozenset(range(n)) for b in bs):
             raise InvalidInputError("basis element out of range")
-        bset = set(bs)
-        for b1 in bs:
-            for b2 in bs:
-                for x in b1 - b2:
-                    if not any((b1 - {x}) | {y} in bset for y in b2 - b1):
+        masks = [_mask(b) for b in bs]
+        bset = set(masks)
+        bits = RankedPoset._bits
+        union = 0
+        for b in masks:
+            union |= b
+        for b1 in masks:
+            # for each x in b1, the mask of the y with b1 - x + y a basis
+            others = [1 << y for y in bits(union & ~b1)]
+            swaps = []
+            for x in bits(b1):
+                rest = b1 ^ (1 << x)
+                ys = 0
+                for y in others:
+                    if (rest | y) in bset:
+                        ys |= y
+                swaps.append((x, ys))
+            for b2 in masks:
+                for x, ys in swaps:
+                    if not (b2 >> x & 1 or ys & b2):
                         raise InvalidInputError(
-                            f"bases violate the exchange axiom at {sorted(b1)}, "
-                            f"{sorted(b2)}, element {x}"
+                            f"bases violate the exchange axiom at {sorted(bits(b1))}, "
+                            f"{sorted(bits(b2))}, element {x}"
                         )
 
         def rank_fn(s):
-            return max(len(s & b) for b in bs)
+            m = _mask(s)
+            return max((m & b).bit_count() for b in masks)
 
         return Matroid(n, rank_fn)
 
     @staticmethod
     def uniform(k, n) -> "Matroid":
+        k, n = _index(k), _index(n)
         if not 1 <= k <= n:
             raise InvalidInputError("uniform matroid needs 1 <= k <= n")
         return Matroid(n, lambda s: min(len(s), k), tag=("uniform", k, n))
@@ -97,9 +135,10 @@ class Matroid:
     @staticmethod
     def from_flats(n, flats) -> "Matroid":
         """From an explicit list of {"set": [...], "rank": r} records."""
+        n = _index(n)
         by_set = {}
         for rec in flats:
-            by_set[frozenset(rec["set"])] = int(rec["rank"])
+            by_set[frozenset(_index(e) for e in rec["set"])] = _index(rec["rank"])
         ground = frozenset(range(n))
         if ground not in by_set:
             raise InvalidInputError("the ground set must be a flat")
@@ -232,17 +271,17 @@ class Matroid:
         """The lattice of flats as a ranked poset (validated geometric)."""
         if self._lattice is None:
             flats = self.flats()
-            index = {f: i for i, f in enumerate(flats)}
+            ranks = [self.rank_of(f) for f in flats]
             covers = []
+            # flats are sorted by rank, so each one's covers follow it
             for i, f in enumerate(flats):
-                rf = self.rank_of(f)
-                for j, g in enumerate(flats):
-                    if self.rank_of(g) == rf + 1 and f < g:
+                for j in range(i + 1, len(flats)):
+                    if ranks[j] > ranks[i] + 1:
+                        break
+                    if ranks[j] == ranks[i] + 1 and f < flats[j]:
                         covers.append((i, j))
             names = ["{" + ",".join(map(str, sorted(f))) + "}" for f in flats]
-            poset = RankedPoset(
-                [self.rank_of(f) for f in flats], covers, names=names
-            )
+            poset = RankedPoset(ranks, covers, names=names)
             if not poset.is_geometric_lattice():
                 raise NotGeometricError("lattice of flats is not geometric")
             self._lattice = poset
@@ -256,7 +295,10 @@ class Matroid:
 
     def contract(self, f) -> tuple["Matroid", dict]:
         """Contract by the flat f; the new ground set is E - f relabelled
-        order-isomorphically to 0..m-1.  Returns (matroid, old -> new map)."""
+        order-isomorphically to 0..m-1.  Returns (matroid, old -> new map).
+        The contraction inherits its flats, the flats g >= f minus f, with
+        ranks rk g - rk f, instead of enumerating them again through the
+        chained rank oracle."""
         f = frozenset(f)
         if self.closure(f) != f:
             raise InvalidInputError("can only contract by a flat")
@@ -275,7 +317,15 @@ class Matroid:
             tag = ("uniform", k - base_rank, n - len(f))
         elif self.tag and self.tag[0] == "boolean":
             tag = ("boolean", self.n - len(f))
-        return Matroid(len(rest), rank_fn, tag=tag), relabel
+        child = Matroid(len(rest), rank_fn, tag=tag)
+        inherited = []
+        for g in self.flats():
+            if f <= g:
+                h = frozenset(relabel[e] for e in g - f)
+                child._rank_cache[h] = self.rank_of(g) - base_rank
+                inherited.append(h)
+        child._flats = sorted(inherited, key=lambda h: (child._rank_cache[h], sorted(h)))
+        return child, relabel
 
     def canonical_key(self):
         """Memoization key; equal keys mean equal labelled lattices."""

@@ -2,15 +2,18 @@
 
 Elements are integers 0..n-1 with a strictly increasing rank function
 along covers.  The order relation is stored as one bitmask per element
-(up[x] = set of y >= x), which keeps interval and upper-set queries cheap
-at the scales this package works at (a few thousand elements).
+(up[x] = set of y >= x, down[x] = set of y <= x), which keeps interval and
+upper-set queries cheap at the scales this package works at (a few
+thousand elements).  One more mask per rank level lets joins and meets be
+read off with a few bit operations, so the lattice tests, which ask for
+the join and meet of every pair, stay cheap too.
 """
 
 from __future__ import annotations
 
 import operator
 
-from klsc.errors import InvalidInputError, NotLatticeError
+from klsc.errors import InvalidInputError
 from klsc.poly import UniPoly
 
 MAX_ELEMENTS = 10_000  # desk scale; dense reachability beyond this is out of scope
@@ -59,6 +62,14 @@ class RankedPoset:
                 m |= down[y]
             down[x] = m
         self.down = down
+        # the elements of each rank present, by increasing rank
+        levels = {}
+        for x, r in enumerate(self.rank):
+            levels[r] = levels.get(r, 0) | 1 << x
+        order = sorted(levels)
+        self._levels = [levels[r] for r in order]
+        position = {r: i for i, r in enumerate(order)}
+        self._level_of = [position[r] for r in self.rank]
         self._mobius_cache = {}
 
     # -- basic queries ---------------------------------------------------------
@@ -196,24 +207,28 @@ class RankedPoset:
         return True
 
     def join(self, x, y):
-        """Least upper bound, or None."""
+        """Least upper bound, or None.  The upper bounds form the upper set
+        up[x] & up[y].  Rank increases along the order, so a least element
+        has the lowest rank in it; an element z of that rank is least
+        exactly when up[z] is all of it."""
         mask = self.up[x] & self.up[y]
-        if not mask:
-            return None
-        cands = list(self._bits(mask))
-        best = min(cands, key=lambda z: self.rank[z])
-        if all(self.leq(best, z) for z in cands):
-            return best
+        levels = self._levels
+        for i in range(max(self._level_of[x], self._level_of[y]), len(levels)):
+            low = mask & levels[i]
+            if low:
+                z = low.bit_length() - 1
+                return z if self.up[z] == mask else None
         return None
 
     def meet(self, x, y):
+        """Greatest lower bound, or None; join with the order reversed."""
         mask = self.down[x] & self.down[y]
-        if not mask:
-            return None
-        cands = list(self._bits(mask))
-        best = max(cands, key=lambda z: self.rank[z])
-        if all(self.leq(z, best) for z in cands):
-            return best
+        levels = self._levels
+        for i in range(min(self._level_of[x], self._level_of[y]), -1, -1):
+            high = mask & levels[i]
+            if high:
+                z = high.bit_length() - 1
+                return z if self.down[z] == mask else None
         return None
 
     def is_lattice(self):
@@ -225,40 +240,29 @@ class RankedPoset:
                     return False
         return True
 
-    def atoms(self):
-        b = self.bottom()
-        if b is None:
-            raise NotLatticeError("no bottom element")
-        return list(self.covers_up[b])
-
-    def coatoms(self):
-        t = self.top()
-        if t is None:
-            raise NotLatticeError("no top element")
-        return list(self.covers_down[t])
-
     def is_geometric_lattice(self):
         """Atomic and semimodular, with rank 0 bottom."""
-        if not self.is_lattice():
-            return False
         b = self.bottom()
-        if self.rank[b] != 0:
+        if b is None or self.top() is None or self.rank[b] != 0:
             return False
-        atoms = set(self.atoms())
+        # x is the join of the atoms below it exactly when the common upper
+        # bounds of those atoms are the elements above x
+        atom_ups = [(1 << a, self.up[a]) for a in self.covers_up[b]]
         for x in range(self.n):
             if x == b:
                 continue
-            below = [a for a in atoms if self.leq(a, x)]
-            j = b
-            for a in below:
-                j = self.join(j, a)
-            if j != x:
+            common = self.up[b]
+            for bit, up in atom_ups:
+                if self.down[x] & bit:
+                    common &= up
+            if common != self.up[x]:
                 return False
+        rank = self.rank
         for x in range(self.n):
             for y in range(x + 1, self.n):
                 j = self.join(x, y)
                 m = self.meet(x, y)
-                if self.rank[j] + self.rank[m] > self.rank[x] + self.rank[y]:
+                if j is None or m is None or rank[j] + rank[m] > rank[x] + rank[y]:
                     return False
         return True
 

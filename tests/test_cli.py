@@ -66,6 +66,25 @@ class TestMatroidCommand:
         assert main(["matroid", "kl", "--input", path]) == 2
         assert "bad matroid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"ground_set": 3.5, "bases": [[0, 1, 2]]},
+            {"uniform": [2.5, 4]},
+            {"uniform": [True, 3]},
+            {"ground_set": 2, "flats": [{"set": [], "rank": 0}, {"set": [0, 1], "rank": 1.5}]},
+            {"ground_set": 2, "flats": [{"set": [], "rank": 0}, {"set": [0, 1], "rank": "1"}]},
+            {"ground_set": 2, "bases": [[0, 1.0]]},
+        ],
+        ids=["float-ground-set", "float-uniform", "bool-uniform", "float-flat-rank",
+             "string-flat-rank", "float-basis-element"],
+    )
+    def test_non_integer_value_exits_2(self, tmp_path, capsys, data):
+        # int() would have read each of these as a different matroid
+        path = write(tmp_path, "bad.json", data)
+        assert main(["matroid", "kl", "--input", path]) == 2
+        assert "bad matroid JSON" in capsys.readouterr().err
+
     def test_non_numeric_matrix_entry_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "bad.json", {"matrix": [[1, "a"], [0, 1]]})
         assert main(["matroid", "kl", "--input", path]) == 2

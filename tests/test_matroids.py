@@ -16,6 +16,7 @@ from klsc.matroid_ih import (
     z_polynomial_sheaf,
 )
 from klsc.poly import UniPoly
+from klsc.validate import matroid_corpus
 
 from itertools import combinations
 
@@ -37,6 +38,14 @@ class TestConstruction:
     def test_exchange_violation_rejected(self):
         with pytest.raises(InvalidInputError):
             Matroid.from_bases(4, [[0, 1], [2, 3], [0, 2]][:2])
+
+    def test_exchange_violation_message(self):
+        with pytest.raises(InvalidInputError) as exc:
+            Matroid.from_bases(4, [[0, 1], [2, 3], [1, 2]])
+        assert str(exc.value) == "bases violate the exchange axiom at [0, 1], [2, 3], element 1"
+        with pytest.raises(InvalidInputError) as exc:
+            Matroid.from_bases(6, [[5, 4, 3], [0, 1, 2]])
+        assert str(exc.value) == "bases violate the exchange axiom at [3, 4, 5], [0, 1, 2], element 3"
 
     def test_loop_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -89,6 +98,69 @@ class TestConstruction:
         c, relabel = m.contract(atom)
         assert c.tag == ("uniform", 2, 4)
         assert c.rank == 2 and c.n == 4
+
+
+def bases_of(m):
+    """The bases of a matroid, read off its rank oracle."""
+    return [list(c) for c in combinations(range(m.n), m.rank) if m.rank_of(c) == m.rank]
+
+
+def uninherited_contraction(m, f, relabel):
+    """M/f from the contracted rank oracle alone, so its flats come from
+    closure BFS and not from m's flats."""
+    rest = sorted(relabel, key=relabel.get)
+    base = m.rank_of(f)
+    return Matroid(len(rest), lambda s: m.rank_of(frozenset(rest[i] for i in s) | f) - base)
+
+
+def assert_same_matroid(got, want):
+    assert got.n == want.n and got.rank == want.rank
+    assert got.flats() == want.flats()
+    assert [got.rank_of(g) for g in got.flats()] == [want.rank_of(g) for g in want.flats()]
+    assert got.lattice().covers == want.lattice().covers
+    assert got.lattice().names == want.lattice().names
+    assert got.lattice().rank == want.lattice().rank
+
+
+class TestContraction:
+    def test_inherited_flats_match_closure_enumeration(self):
+        """Every contraction of every desk-corpus matroid given by its
+        bases, plus the Fano plane from its vectors, against the same
+        contraction enumerated from its rank oracle."""
+        matroids = [
+            (label, Matroid.from_bases(m.n, bases_of(m))) for label, m in matroid_corpus()
+        ]
+        matroids.append(("fano vectors", Matroid.fano()))
+        for label, m in matroids:
+            for f in m.flats():
+                child, relabel = m.contract(f)
+                want = uninherited_contraction(m, f, relabel)
+                assert_same_matroid(child, want)
+                assert child.canonical_key() == want.canonical_key(), (label, f)
+
+    def test_contractions_of_contractions(self):
+        for m in (Matroid.fano(), Matroid.graphic(4, list(combinations(range(4), 2)))):
+            for f in m.flats():
+                child, _ = m.contract(f)
+                for g in child.flats():
+                    grandchild, relabel = child.contract(g)
+                    assert_same_matroid(grandchild, uninherited_contraction(child, g, relabel))
+
+    def test_contracting_a_non_flat_is_refused(self):
+        with pytest.raises(InvalidInputError):
+            Matroid.uniform(2, 3).contract({0, 1})
+
+    def test_bitmask_rank_oracle_matches_bases(self):
+        k4 = Matroid.graphic(4, list(combinations(range(4), 2)))
+        wheel = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3)]
+        w4 = Matroid.graphic(5, wheel)
+        for m in (k4, Matroid.fano(), w4):
+            bases = [frozenset(b) for b in bases_of(m)]
+            from_bases = Matroid.from_bases(m.n, [sorted(b) for b in bases])
+            for size in range(m.n + 1):
+                for s in combinations(range(m.n), size):
+                    s = frozenset(s)
+                    assert from_bases.rank_of(s) == max(len(s & b) for b in bases)
 
 
 class TestMobiusAlgebra:

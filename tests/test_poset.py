@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from klsc.errors import InvalidInputError
 from klsc.poly import UniPoly
 from klsc.poset import RankedPoset, UpperSet, boolean_lattice, chain
+from klsc.validate import matroid_corpus
 
 from helpers import (
     brute_mobius,
@@ -155,6 +156,119 @@ class TestCounting:
         P = RankedPoset(ranks, covers)
         ok, witness = P.top_heavy_check()
         assert not ok and witness == (1, 2)
+
+
+def brute_join(P, x, y):
+    """The least common upper bound from leq alone, or None."""
+    ups = [z for z in P.elements() if P.leq(x, z) and P.leq(y, z)]
+    least = [z for z in ups if all(P.leq(z, u) for u in ups)]
+    return least[0] if least else None
+
+
+def brute_meet(P, x, y):
+    downs = [z for z in P.elements() if P.leq(z, x) and P.leq(z, y)]
+    greatest = [z for z in downs if all(P.leq(d, z) for d in downs)]
+    return greatest[0] if greatest else None
+
+
+def brute_is_lattice(P):
+    return all(
+        brute_join(P, x, y) is not None and brute_meet(P, x, y) is not None
+        for x in P.elements()
+        for y in P.elements()
+    )
+
+
+def brute_is_geometric(P):
+    """A lattice with bottom of rank 0 in which every element is the join
+    of the atoms below it and rk(x v y) + rk(x ^ y) <= rk x + rk y."""
+    if not brute_is_lattice(P):
+        return False
+    elems = list(P.elements())
+    bottom = next(b for b in elems if all(P.leq(b, z) for z in elems))
+    if P.rank[bottom] != 0:
+        return False
+    atoms = [
+        a for a in elems
+        if a != bottom and not any(P.lt(bottom, z) and P.lt(z, a) for z in elems)
+    ]
+    for x in elems:
+        j = bottom
+        for a in atoms:
+            if P.leq(a, x):
+                j = brute_join(P, j, a)
+        if j != x:
+            return False
+    return all(
+        P.rank[brute_join(P, x, y)] + P.rank[brute_meet(P, x, y)] <= P.rank[x] + P.rank[y]
+        for x in elems
+        for y in elems
+    )
+
+
+def bounded(P):
+    """P with a new bottom below and a new top above every element."""
+    n = P.n
+    ranks = [0] + [r + 1 for r in P.rank] + [max(P.rank) + 2]
+    covers = [(a + 1, b + 1) for a, b in P.covers]
+    covers += [(0, x + 1) for x in P.minimal_elements()]
+    covers += [(x + 1, n + 1) for x in P.maximal_elements()]
+    return RankedPoset(ranks, covers)
+
+
+def n5():
+    """The pentagon: 0 < a < b < 1 and 0 < c < 1."""
+    return RankedPoset([0, 1, 2, 1, 3], [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+
+
+def atomic_not_semimodular():
+    """Bottom; atoms a, b, c; x = a v b at rank 2; a top of rank 3 above x
+    and c.  Every element is a join of atoms, but a v c is the top."""
+    covers = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (4, 5), (3, 5)]
+    return RankedPoset([0, 1, 1, 1, 2, 3], covers)
+
+
+class TestLattices:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.booleans())
+    def test_matches_definitions_on_random_posets(self, seed, add_bounds):
+        P = random_ranked_poset(seed)
+        if add_bounds:
+            P = bounded(P)
+        for x in P.elements():
+            for y in P.elements():
+                assert P.join(x, y) == brute_join(P, x, y)
+                assert P.meet(x, y) == brute_meet(P, x, y)
+        assert P.is_lattice() == brute_is_lattice(P)
+        assert P.is_geometric_lattice() == brute_is_geometric(P)
+
+    def test_pentagon_is_a_lattice_but_not_semimodular(self):
+        P = n5()
+        assert P.is_lattice() and brute_is_lattice(P)
+        assert P.join(2, 3) == 4 and P.meet(2, 3) == 0
+        assert not P.is_geometric_lattice() and not brute_is_geometric(P)
+
+    def test_chain_is_not_atomic(self):
+        P = chain(2)
+        assert P.is_lattice()
+        assert not P.is_geometric_lattice() and not brute_is_geometric(P)
+
+    def test_atomic_but_not_semimodular(self):
+        P = atomic_not_semimodular()
+        assert P.is_lattice()
+        assert P.join(1, 2) == 4 and P.join(1, 3) == 5 and P.join(4, 3) == 5
+        assert not P.is_geometric_lattice() and not brute_is_geometric(P)
+
+    def test_desk_corpus_lattices_of_flats_are_geometric(self):
+        for label, m in matroid_corpus():
+            L = m.lattice()
+            assert L.is_geometric_lattice(), label
+            if L.n <= 40:
+                assert brute_is_geometric(L), label
+                for x in L.elements():
+                    for y in L.elements():
+                        assert L.join(x, y) == brute_join(L, x, y), label
+                        assert L.meet(x, y) == brute_meet(L, x, y), label
 
 
 class TestCharacteristicPolynomial:
