@@ -100,7 +100,7 @@ def _fan_from_json(data) -> Fan:
         if "polytope_vertices" in data:
             return cone_over_polytope(data["polytope_vertices"])
         if "rays" in data and "max_cones" in data:
-            return Fan.from_max_cones(int(data["dim"]), data["rays"], data["max_cones"])
+            return Fan.from_max_cones(data["dim"], data["rays"], data["max_cones"])
     except (KeyError, TypeError, ValueError) as exc:
         raise _InputError(f"bad fan JSON: {exc!r}") from exc
     raise _InputError("fan JSON needs 'polytope_vertices' or 'rays'+'max_cones'")

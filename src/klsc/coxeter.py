@@ -131,7 +131,10 @@ class CoxeterGroup:
     """A finite crystallographic Coxeter group, fully enumerated.
 
     Elements are integers 0..|W|-1 in BFS (length-increasing) order;
-    element 0 is the identity.
+    element 0 is the identity.  The BFS records left[s][x], the element
+    s*x, for every generator s; products and inverses are then walks along
+    reduced words through this table, and the matrices are read only for
+    roots and coroots.
     """
 
     def __init__(self, cartan: CartanDatum, size_cap=GROUP_SIZE_CAP):
@@ -151,20 +154,22 @@ class CoxeterGroup:
                 gco[i][j] = (1 if i == j else 0) - a[j][i]
             gens.append(tuple(tuple(r) for r in g))
             gens_co.append(tuple(tuple(r) for r in gco))
-        self.gen_matrices = gens
-        self.gen_matrices_co = gens_co
 
         index = {eye: 0}
         mats = [eye]
         mats_co = [eye]
         lengths = [0]
         words = [()]
+        # left multiplication by each generator; the BFS visits the elements
+        # in index order, so left[s][x] is appended when x is visited
+        left = [[] for _ in range(n)]
         frontier = [0]
         while frontier:
             new_frontier = []
             for x in frontier:
                 for s in range(n):
                     m = _mat_mul(gens[s], mats[x], n)
+                    left[s].append(index.get(m, len(mats)))
                     if m not in index:
                         index[m] = len(mats)
                         mats.append(m)
@@ -181,17 +186,11 @@ class CoxeterGroup:
             frontier = new_frontier
         self.matrices = mats
         self.matrices_co = mats_co
-        self.index = index
         self.length = lengths
         self.words = words
         self.size = len(mats)
         self.identity = 0
-
-        # left multiplication by each generator
-        self.left = [
-            [index[_mat_mul(gens[s], mats[x], n)] for x in range(self.size)]
-            for s in range(n)
-        ]
+        self.left = left
 
         self._reflections = None
         self._bruhat_up = None
@@ -212,8 +211,12 @@ class CoxeterGroup:
         return self.words[x]
 
     def multiply(self, x, y):
-        m = _mat_mul(self.matrices[x], self.matrices[y], self.rank)
-        return self.index[m]
+        """The product xy, read from the tables: x's reduced word is applied
+        to y one generator at a time through ``left``, with no matrices."""
+        left = self.left
+        for s in reversed(self.words[x]):
+            y = left[s][y]
+        return y
 
     def inverse(self, x):
         return self.from_word(tuple(reversed(self.words[x])))
@@ -234,14 +237,10 @@ class CoxeterGroup:
         if self._reflections is None:
             seen = {}
             for w in range(self.size):
+                w_inv = self.inverse(w)
                 for i in range(self.rank):
-                    t = self.index[
-                        _mat_mul(
-                            _mat_mul(self.matrices[w], self.gen_matrices[i], self.rank),
-                            self.matrices[self.inverse(w)],
-                            self.rank,
-                        )
-                    ]
+                    # t = w s_i w^-1
+                    t = self.multiply(w, self.left[i][w_inv])
                     if t in seen:
                         continue
                     root = tuple(self.matrices[w][r][i] for r in range(self.rank))

@@ -20,7 +20,7 @@ import itertools
 from math import gcd
 
 from klsc.errors import InvalidInputError
-from klsc.field import QQ
+from klsc.field import QQ, read_int
 from klsc.graded import FreeModuleShape
 from klsc.linalg import RowSpace, kernel_basis, solve_linear
 from klsc.poly import MultiPoly, monomials
@@ -28,7 +28,7 @@ from klsc.poset import RankedPoset
 
 
 def _primitive(vec):
-    ints = [int(v) for v in vec]
+    ints = [read_int(v) for v in vec]
     g = 0
     for v in ints:
         g = gcd(g, abs(v))
@@ -186,6 +186,7 @@ class Fan:
 
     @staticmethod
     def from_max_cones(ambient_dim, ray_vectors, max_cones) -> "Fan":
+        ambient_dim = read_int(ambient_dim)
         rays = [_primitive(r) for r in ray_vectors]
         if len(set(rays)) != len(rays):
             raise InvalidInputError("duplicate rays")

@@ -6,13 +6,19 @@ available and fractions.Fraction otherwise; QQ elimination (klsc.linalg)
 runs on primitive integer rows of Python ints with either backend.
 
 A field is a small stateless object exposing the arithmetic the linear
-algebra layer needs.  Elements are plain Python objects (mpq/Fraction or
-Python ints for QQ, ints in [0, p) for GF(p)), so vectors are ordinary
-lists; QQ.div and QQ.inv stay exact on ints.  GF(p) is supported for
-primes p < 2^25.
+algebra layer needs.  Elements are plain Python objects, so vectors are
+ordinary lists.  Over GF(p) they are ints in [0, p); GF(p) is supported
+for primes p < 2^25.  Over QQ an integral element is a Python int
+(QQ.zero is 0, QQ.one is 1, and QQ.div, QQ.inv and QQ.parse return an int
+whenever the exact value is integral) and any other is an mpq/Fraction.
+Ints are closed under add, sub, mul and neg, so integral work builds no
+rational at all, and QQ elimination (klsc.linalg) takes its all-int fast
+path on it.
 """
 
 from __future__ import annotations
+
+import operator
 
 try:
     from gmpy2 import mpq as _mpq
@@ -26,21 +32,34 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
 from klsc.errors import InvalidInputError
 
 
+def read_int(value):
+    """An integer read from input; floats, strings and booleans are
+    refused, where int() would silently coerce them."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _exact(q):
+    """The rational q as a Python int if it is integral, else q itself;
+    reads only numerator and denominator, so either backend works."""
+    return int(q.numerator) if q.denominator == 1 else q
+
+
 class Rationals:
     """The field of rational numbers with exact arbitrary-precision arithmetic."""
 
     characteristic = 0
     name = "QQ"
 
-    def __init__(self):
-        self.zero = _mpq(0)
-        self.one = _mpq(1)
+    zero = 0
+    one = 1
 
     def __repr__(self):
         return "QQ"
 
     def from_int(self, n):
-        return _mpq(n)
+        return operator.index(n)
 
     def add(self, a, b):
         return a + b
@@ -53,13 +72,13 @@ class Rationals:
 
     def div(self, a, b):
         # _mpq(a) keeps the quotient exact when a and b are both ints
-        return _mpq(a) / b
+        return _exact(_mpq(a) / b)
 
     def neg(self, a):
         return -a
 
     def inv(self, a):
-        return self.one / a
+        return _exact(1 / _mpq(a))
 
     def is_zero(self, a):
         return not a
@@ -84,7 +103,7 @@ class Rationals:
     def parse(self, s):
         """Parse "p/q" or "p" (also accepts ints)."""
         if isinstance(s, int):
-            return _mpq(s)
+            return int(s)
         if isinstance(s, str):
             s = s.strip()
             if "/" in s:
@@ -92,8 +111,8 @@ class Rationals:
                 den = int(den)
                 if den == 0:
                     raise InvalidInputError("rational with zero denominator")
-                return _mpq(int(num), den)
-            return _mpq(int(s))
+                return _exact(_mpq(int(num), den))
+            return int(s)
         raise InvalidInputError(f"cannot parse rational from {s!r}")
 
 

@@ -18,10 +18,12 @@ whichever rational backend is installed: every basis row is a primitive
 vector of Python ints with a positive pivot entry, input vectors are
 cleared of denominators on entry, and ``reduce`` divides by the scale it
 accumulated once at the end, so its residual is exactly the one a
-unit-pivot echelon gives.  Over GF(2) every untagged row is one Python
-int with one byte per column, so a reduction step is a single XOR (the
-packed rows of Albrecht, Bard and Hart, ACM TOMS 37, 2010); over GF(p),
-p > 2, and in tagged mode rows are numpy int64 arrays with unit pivots.
+unit-pivot echelon gives.  Integral QQ elements are Python ints
+(klsc.field), so most input vectors are all ints and skip the clearing.
+Over GF(2) every untagged row is one Python int with one byte per
+column, so a reduction step is a single XOR (the packed rows of
+Albrecht, Bard and Hart, ACM TOMS 37, 2010); over GF(p), p > 2, and in
+tagged mode rows are numpy int64 arrays with unit pivots.
 Either way the vectors handed out over GF(p) are int64 arrays.  numpy is
 imported at the first GF(p) computation, so QQ-only runs never load it.
 
@@ -120,7 +122,7 @@ class RowSpace:
     def _convert(v, tag):
         """(d*v, d*tag, d) for the least d > 0 that makes every entry of v
         and of the tag an int.  The tag is a dict, updated in place, or
-        None."""
+        None.  All-int input, the common case, comes back at once with d = 1."""
         vals = list(tag.values()) if tag else ()
         if set(map(type, v)).union(map(type, vals)) <= {int}:
             return list(v), tag, 1

@@ -21,20 +21,11 @@ rk F.
 from __future__ import annotations
 
 import itertools
-import operator
 
 from klsc.errors import InvalidInputError, NotGeometricError
-from klsc.field import GF, QQ
+from klsc.field import GF, QQ, read_int
 from klsc.linalg import RowSpace
 from klsc.poset import RankedPoset
-
-
-def _index(value):
-    """An integer read from input; floats, strings and booleans are
-    refused, where int() would silently coerce them."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return operator.index(value)
 
 
 def _mask(elems):
@@ -66,8 +57,8 @@ class Matroid:
 
     @staticmethod
     def from_bases(n, bases) -> "Matroid":
-        n = _index(n)
-        bs = [frozenset(_index(e) for e in b) for b in bases]
+        n = read_int(n)
+        bs = [frozenset(read_int(e) for e in b) for b in bases]
         if not bs:
             raise InvalidInputError("empty list of bases")
         size = len(bs[0])
@@ -108,7 +99,7 @@ class Matroid:
 
     @staticmethod
     def uniform(k, n) -> "Matroid":
-        k, n = _index(k), _index(n)
+        k, n = read_int(k), read_int(n)
         if not 1 <= k <= n:
             raise InvalidInputError("uniform matroid needs 1 <= k <= n")
         return Matroid(n, lambda s: min(len(s), k), tag=("uniform", k, n))
@@ -135,10 +126,10 @@ class Matroid:
     @staticmethod
     def from_flats(n, flats) -> "Matroid":
         """From an explicit list of {"set": [...], "rank": r} records."""
-        n = _index(n)
+        n = read_int(n)
         by_set = {}
         for rec in flats:
-            by_set[frozenset(_index(e) for e in rec["set"])] = _index(rec["rank"])
+            by_set[frozenset(read_int(e) for e in rec["set"])] = read_int(rec["rank"])
         ground = frozenset(range(n))
         if ground not in by_set:
             raise InvalidInputError("the ground set must be a flat")

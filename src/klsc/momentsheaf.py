@@ -28,6 +28,7 @@ raises immediately.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add as _add
 
 from klsc.coxeter import MomentGraph
 from klsc.errors import DegreeBoundError, KlscError, PGKMError, TruncationBoundError
@@ -44,7 +45,15 @@ def reduced_monomials(nvars, pivot, degree):
 
 
 class EdgeRing:
-    """R/alpha as polynomials with the pivot variable eliminated."""
+    """R/alpha as polynomials with the pivot variable eliminated.
+
+    The label alpha = sum c_j x_j is solved for its first nonzero
+    coordinate, x_pivot = sum_{j != pivot} (-c_j / c_pivot) x_j, and a
+    polynomial is reduced by substituting this form for x_pivot, in one
+    pass that collects every term into a single dict.  Over QQ the
+    substitution has int coefficients when c_pivot is 1, as for every label
+    of types A, B and D; in types C and G some labels lead with a 2, and
+    their reductions carry halves."""
 
     def __init__(self, field, nvars, label):
         coeffs = [field.from_int(c) for c in label]
@@ -76,18 +85,20 @@ class EdgeRing:
         p = self.pivot
         if all(e[p] == 0 for e in poly.terms):
             return poly
-        out = MultiPoly.zero(self.field, self.nvars)
+        f = self.field
+        add, mul, zero = f.add, f.mul, f.zero
+        out = {}
         for e, c in poly.terms.items():
             k = e[p]
             if k == 0:
-                out = out + MultiPoly(self.field, self.nvars, {e: c})
-            else:
-                rest = list(e)
-                rest[p] = 0
-                out = out + self._subst_power(k).scale(c) * MultiPoly(
-                    self.field, self.nvars, {tuple(rest): self.field.one}
-                )
-        return out
+                out[e] = add(out.get(e, zero), c)
+                continue
+            # c * x^e = c * x^rest * subst^k, where rest has no pivot
+            rest = e[:p] + (0,) + e[p + 1:]
+            for es, cs in self._subst_power(k).terms.items():
+                key = tuple(map(_add, rest, es))
+                out[key] = add(out.get(key, zero), mul(c, cs))
+        return MultiPoly(f, self.nvars, out)
 
     def coeff_vector(self, poly, degree):
         mons = reduced_monomials(self.nvars, self.pivot, degree)

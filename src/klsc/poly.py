@@ -283,12 +283,6 @@ class MultiPoly:
         f = self.field
         return MultiPoly(f, self.nvars, {e: f.neg(c) for e, c in self.terms.items()})
 
-    def scale(self, c):
-        f = self.field
-        if f.is_zero(c):
-            return MultiPoly(f, self.nvars)
-        return MultiPoly(f, self.nvars, {e: f.mul(c, v) for e, v in self.terms.items()})
-
     def __mul__(self, other):
         f = self.field
         out = {}

@@ -27,6 +27,14 @@ from klsc.poly import MultiPoly, UniPoly, monomial_space_dim, poly_reverse_check
 from helpers import dense_matvec
 
 
+# ints and Fractions, integral ones among the latter included
+RATIONALS = st.one_of(
+    st.integers(-(10**12), 10**12),
+    st.fractions(max_denominator=12),
+    st.integers(-50, 50).map(Fraction),
+)
+
+
 class TestFields:
     def test_rational_roundtrip(self):
         a = QQ.parse("-3/6")
@@ -43,6 +51,37 @@ class TestFields:
         for x in (QQ.inv(3), QQ.div(1, 3)):
             assert x == Fraction(1, 3)
             assert not isinstance(x, float)
+
+    def test_rational_inverse_of_zero_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(0)
+
+    def test_rational_from_int_refuses_non_integers(self):
+        for bad in (1.5, Fraction(3, 2)):
+            with pytest.raises(TypeError):
+                QQ.from_int(bad)
+
+    @given(RATIONALS, RATIONALS)
+    def test_rational_scalars_match_fraction_reference(self, a, b):
+        ra, rb = Fraction(a), Fraction(b)
+        results = [
+            (QQ.add(a, b), ra + rb),
+            (QQ.sub(a, b), ra - rb),
+            (QQ.mul(a, b), ra * rb),
+            (QQ.neg(a), -ra),
+        ]
+        exact = []  # results that are ints exactly when they are integral
+        if rb:
+            exact += [(QQ.div(a, b), ra / rb), (QQ.inv(b), 1 / rb)]
+        exact.append((QQ.parse(f"{ra.numerator * 3}/{ra.denominator * 3}"), ra))
+        exact.append((QQ.parse(str(ra)), ra))
+        if isinstance(a, int):
+            exact += [(QQ.from_int(a), ra), (QQ.parse(a), ra)]
+        for got, want in results + exact:
+            assert got == want
+            assert not isinstance(got, float)
+        for got, want in exact:
+            assert (type(got) is int) == (want.denominator == 1)
 
     def test_gf_requires_prime(self):
         with pytest.raises(Exception):

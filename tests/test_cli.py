@@ -187,6 +187,21 @@ class TestFanCommand:
         assert main(["fan", "g", "--input", path]) == 2
         assert "bad fan JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"dim": 2, "rays": [[1.5, 0], [0, 1]], "max_cones": [[0, 1]]},
+            {"dim": 2.7, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]},
+            {"dim": 2, "rays": [[True, 0], [0, 1]], "max_cones": [[0, 1]]},
+        ],
+        ids=["float-ray-entry", "float-dim", "boolean-ray-entry"],
+    )
+    def test_non_integer_fan_exits_2(self, tmp_path, capsys, data):
+        # int() used to truncate these to a valid fan and exit 0
+        path = write(tmp_path, "bad.json", data)
+        assert main(["fan", "ih", "--input", path, "--cone", "0"]) == 2
+        assert "bad fan JSON" in capsys.readouterr().err
+
 
 class TestCoxeterCommand:
     def test_a3_3412(self, capsys):

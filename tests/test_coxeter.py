@@ -5,6 +5,7 @@ import pytest
 from klsc.coxeter import (
     CartanDatum,
     CoxeterGroup,
+    _mat_mul,
     bruhat_graph,
     element_from_json,
     enumerate_interval,
@@ -59,6 +60,76 @@ class TestEnumeration:
         W = group("B2")
         for x in range(W.size):
             assert W.multiply(x, W.inverse(x)) == W.identity
+
+
+@pytest.mark.parametrize(
+    "cartan",
+    ["A3", "B3", "D4", "G2", [[2, -1], [-3, 2]]],
+    ids=["A3", "B3", "D4", "G2", "custom"],
+)
+class TestProductTables:
+    """Products, inverses and reflections are read from the tables; both
+    routes use them, so they are checked against matrix products here."""
+
+    @staticmethod
+    def group_and_word_matrices(cartan):
+        datum = (
+            CartanDatum.from_type(cartan)
+            if isinstance(cartan, str)
+            else CartanDatum.from_matrix(cartan)
+        )
+        W = CoxeterGroup(datum)
+        n = W.rank
+        eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        # s_i(alpha_j) = alpha_j - a_ij alpha_i, on root coordinates
+        a = datum.matrix
+        gens = [
+            tuple(
+                tuple(int(r == j) - (a[i][j] if r == i else 0) for j in range(n))
+                for r in range(n)
+            )
+            for i in range(n)
+        ]
+        mats = []
+        for x in range(W.size):
+            m = eye
+            for s in reversed(W.words[x]):
+                m = _mat_mul(gens[s], m, n)
+            mats.append(m)
+        return W, gens, mats, eye
+
+    def test_left_and_inverse(self, cartan):
+        W, gens, mats, eye = self.group_and_word_matrices(cartan)
+        assert W.matrices == mats
+        assert len(set(mats)) == W.size
+        for x in range(W.size):
+            for s in range(W.rank):
+                assert mats[W.left[s][x]] == _mat_mul(gens[s], mats[x], W.rank)
+            assert _mat_mul(mats[x], mats[W.inverse(x)], W.rank) == eye
+
+    def test_multiply_every_pair(self, cartan):
+        W, _, mats, _ = self.group_and_word_matrices(cartan)
+        for x in range(W.size):
+            for y in range(W.size):
+                assert mats[W.multiply(x, y)] == _mat_mul(mats[x], mats[y], W.rank)
+
+    def test_reflections_are_conjugates_of_generators(self, cartan):
+        W, gens, mats, eye = self.group_and_word_matrices(cartan)
+        n = W.rank
+        position = {m: x for x, m in enumerate(mats)}
+        expected = set()
+        for w in range(W.size):
+            # the inverse of a word's matrix is its reversed word's matrix
+            inv = eye
+            for s in W.words[w]:
+                inv = _mat_mul(gens[s], inv, n)
+            for i in range(n):
+                expected.add(position[_mat_mul(_mat_mul(mats[w], gens[i], n), inv, n)])
+        got = [t for t, _, _ in W.reflections()]
+        assert len(got) == len(set(got))
+        assert set(got) == expected
+        for t, root, coroot in W.reflections():
+            assert mats[t] == W.reflection_matrix_from_root(root, coroot)
 
 
 class TestBruhatOrder:

@@ -1,5 +1,7 @@
 """The canonical sheaf on Bruhat graphs: stalks, sections, mod-p variants."""
 
+import random
+
 import pytest
 
 from klsc.coxeter import (
@@ -13,8 +15,8 @@ from klsc.errors import PGKMError
 from klsc.field import GF, QQ
 from klsc.graded import FreeModuleShape
 from klsc.kls import coxeter_R_kernel, solve_kls
-from klsc.momentsheaf import compute_sheaf, structure_ring_dims
-from klsc.poly import UniPoly
+from klsc.momentsheaf import EdgeRing, compute_sheaf, structure_ring_dims
+from klsc.poly import MultiPoly, UniPoly, monomials
 
 
 def sheaf_for(name, w_perm=None, field=QQ, v=None):
@@ -26,6 +28,57 @@ def sheaf_for(name, w_perm=None, field=QQ, v=None):
     )
     iv = enumerate_interval(W, v if v is not None else W.identity, w)
     return W, iv, compute_sheaf(bruhat_graph(W, iv), field)
+
+
+def _random_poly(rng, field, nvars):
+    """A polynomial of degree <= 4 with up to 8 terms; over QQ some
+    coefficients are proper fractions."""
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        m = rng.choice(monomials(nvars, rng.randint(0, 4)))
+        c = field.from_int(rng.randint(-4, 4))
+        if field.characteristic == 0:
+            c = field.div(c, rng.randint(1, 3))
+        terms[m] = c
+    return MultiPoly(field, nvars, terms)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+@pytest.mark.parametrize(
+    "cartan",
+    ["A3", "B3", "G2", [[2, -1], [-3, 2]]],
+    ids=["A3", "B3", "G2", "custom"],
+)
+def test_edge_reduce_is_substitution(cartan, field):
+    """EdgeRing.reduce, on every edge label, equals composing with the
+    linear map that sends x_pivot to the label's solved form and fixes the
+    other variables (MultiPoly.substitute_linear)."""
+    datum = (
+        CartanDatum.from_type(cartan)
+        if isinstance(cartan, str)
+        else CartanDatum.from_matrix(cartan)
+    )
+    W = CoxeterGroup(datum)
+    n = W.rank
+    rng = random.Random(f"{cartan}:{field!r}")
+    for label in sorted({root for _, root, _ in W.reflections()}):
+        ring = EdgeRing(field, n, label)
+        p = ring.pivot
+        coeffs = [field.from_int(c) for c in label]
+        assert p == min(j for j in range(n) if not field.is_zero(coeffs[j]))
+        # x_j -> x_j for j != p, and x_p -> -sum_{j != p} (c_j / c_p) x_j
+        matrix = [[field.one if j == i else field.zero for j in range(n)] for i in range(n)]
+        matrix[p] = [
+            field.zero if j == p else field.neg(field.div(coeffs[j], coeffs[p]))
+            for j in range(n)
+        ]
+        alpha = MultiPoly.linear_form(field, coeffs)
+        for _ in range(6):
+            poly = _random_poly(rng, field, n)
+            reduced = ring.reduce(poly)
+            assert reduced == poly.substitute_linear(matrix, n)
+            assert all(e[p] == 0 for e in reduced.terms)
+            assert ring.reduce(poly * alpha).is_zero()
 
 
 class TestStalks:
