@@ -300,7 +300,7 @@ def cone_over_polytope(vertices) -> Fan:
         raise InvalidInputError("vertices of mixed dimension")
     rays = []
     for v in vs:
-        lifted = list(v) + [QQ.one]
+        lifted = list(v) + [QQ.from_int(1)]
         rays.append(_rationals_to_primitive(lifted))
     rays = sorted(set(rays))
     probe = Cone(rays, d)
@@ -407,10 +407,10 @@ class StructureSections:
                 for c, (i, m) in enumerate(layout):
                     if i == a:
                         mat = ra
-                        sign = field.one
+                        sign = field.from_int(1)
                     elif i == b:
                         mat = rb
-                        sign = field.neg(field.one)
+                        sign = field.neg(field.from_int(1))
                     else:
                         continue
                     poly = MultiPoly(field, self.charts[i].nvars, {m: sign})

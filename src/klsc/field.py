@@ -9,11 +9,17 @@ A field is a small stateless object exposing the arithmetic the linear
 algebra layer needs.  Elements are plain Python objects, so vectors are
 ordinary lists.  Over GF(p) they are ints in [0, p); GF(p) is supported
 for primes p < 2^25.  Over QQ an integral element is a Python int
-(QQ.zero is 0, QQ.one is 1, and QQ.div, QQ.inv and QQ.parse return an int
-whenever the exact value is integral) and any other is an mpq/Fraction.
-Ints are closed under add, sub, mul and neg, so integral work builds no
-rational at all, and QQ elimination (klsc.linalg) takes its all-int fast
-path on it.
+(QQ.zero is 0, QQ.from_int is operator.index, and QQ.div, QQ.inv and
+QQ.parse return an int whenever the exact value is integral) and any
+other is an mpq/Fraction.  Ints are closed under add, sub, mul and neg,
+so integral work builds no rational at all, and QQ elimination
+(klsc.linalg) takes its all-int fast path on it.
+
+QQ.one alone is the backend's rational 1, so that type(QQ.one) names the
+installed backend (perfbench/run.py records it, and perfbench/compare.py
+refuses to compare runs on different backends).  Code that builds
+elements therefore takes the unit as field.from_int(1), which is the int
+1 over QQ and over GF(p) alike, and never reads field.one.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ class Rationals:
     name = "QQ"
 
     zero = 0
-    one = 1
+    one = _mpq(1)  # not the int: its type names the backend (module docstring)
 
     def __repr__(self):
         return "QQ"

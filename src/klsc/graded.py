@@ -190,7 +190,7 @@ def free_graded_module(field, nvars, shape: FreeModuleShape, bound) -> GradedMod
         eye = []
         for pos in range(ambient_dims[i]):
             v = [field.zero] * ambient_dims[i]
-            v[pos] = field.one
+            v[pos] = field.from_int(1)
             eye.append(v)
         bases.append(eye)
     raising = []
@@ -201,7 +201,7 @@ def free_graded_module(field, nvars, shape: FreeModuleShape, bound) -> GradedMod
             rows = [[] for _ in layout[i + 1]]
             for pos, (gi, m) in enumerate(layout[i]):
                 e = m[:var] + (m[var] + 1,) + m[var + 1 :]
-                rows[index[i + 1][(gi, e)]].append((pos, field.one))
+                rows[index[i + 1][(gi, e)]].append((pos, field.from_int(1)))
             mats.append(rows)
         raising.append(mats)
     return GradedModule(field, nvars, bound, ambient_dims, bases, raising)

@@ -291,7 +291,7 @@ class MatroidIHSheaf:
             field = self.field
             if self.rank == 0:
                 space = RowSpace(field, 1)
-                space.add([field.one])
+                space.add([field.from_int(1)])
                 self._full[d] = space
                 return space
             layout = self.full_layout(d)
@@ -408,7 +408,7 @@ class MatroidLocalModel:
         return 1
 
     def ambient_var_form(self, y, a):
-        return [self.field.one]
+        return [self.field.from_int(1)]
 
     def boundary(self, x, view):
         field = self.field
@@ -456,7 +456,7 @@ class MatroidLocalModel:
             for v in nspaces[d].basis():
                 tagged.add(v, {})
             for j, v in enumerate(reps[d]):
-                tagged.add(v, {j: field.one})
+                tagged.add(v, {j: field.from_int(1)})
             res, tag = tagged.reduce(vec)
             if any(res):
                 raise TruncationBoundError("vector escapes the quotient basis")
@@ -471,13 +471,13 @@ class MatroidLocalModel:
             eye = []
             for c in range(ambient_dims[d]):
                 v = [field.zero] * ambient_dims[d]
-                v[c] = field.one
+                v[c] = field.from_int(1)
                 eye.append(v)
             bases.append(eye)
         # h acts on the quotient coordinates of each representative
         raising = [[]]
         for d in range(bound):
-            h = view.sheaf.raising(view.elems, d, lambda y: [field.one])
+            h = view.sheaf.raising(view.elems, d, lambda y: [field.from_int(1)])
             rows = [[] for _ in range(ambient_dims[d + 1])]
             for j, v in enumerate(reps[d]):
                 qc = to_quotient_coords(matvec(h, v, field), d + 1)

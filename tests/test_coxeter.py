@@ -64,7 +64,8 @@ class TestEnumeration:
 
 @pytest.mark.parametrize(
     "cartan",
-    ["A3", "B3", "D4", "G2", [[2, -1], [-3, 2]]],
+    # custom: the transpose of G2's Cartan matrix, which no named type builds
+    ["A3", "B3", "D4", "G2", [[2, -3], [-1, 2]]],
     ids=["A3", "B3", "D4", "G2", "custom"],
 )
 class TestProductTables:

@@ -43,10 +43,23 @@ def _random_poly(rng, field, nvars):
     return MultiPoly(field, nvars, terms)
 
 
+@pytest.mark.parametrize("name, w_perm", [("A3", None), ("A3", [3, 4, 1, 2]), ("B2", None)])
+def test_integral_sheaf_builds_no_rationals(name, w_perm):
+    """Every label of types A and B leads with a 1, so over QQ each
+    coefficient of the sections and of the restriction images is an int:
+    integral QQ elements are ints (klsc.field), and no rational 1 enters."""
+    _, _, sheaf = sheaf_for(name, w_perm)
+    polys = [p for s in sheaf.sections for parts in s.parts.values() for p in parts]
+    polys += [p for images in sheaf.lower_maps.values() for img in images for p in img]
+    assert polys
+    assert {type(c) for p in polys for c in p.terms.values()} == {int}
+
+
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
 @pytest.mark.parametrize(
     "cartan",
-    ["A3", "B3", "G2", [[2, -1], [-3, 2]]],
+    # custom: the transpose of G2's Cartan matrix, which no named type builds
+    ["A3", "B3", "G2", [[2, -3], [-1, 2]]],
     ids=["A3", "B3", "G2", "custom"],
 )
 def test_edge_reduce_is_substitution(cartan, field):
