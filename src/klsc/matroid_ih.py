@@ -1,11 +1,20 @@
 """Intersection cohomology sheaves of matroids over k[h].
 
 The sheaf on the lattice of flats assigns to the minimal open set above a
-flat F the sections of the same construction for the contraction at F, so
-the whole computation is organized around contractions: the sheaf of a
-matroid is computed once per isomorphism class (uniform and boolean tags
-collapse repeated contractions), and a parent reads its stalks and its
-atom constraints out of its children.
+flat F the sections of the same construction for the contraction at F,
+whose lattice of flats is the interval [F, E].  A parent reads its stalks
+and its atom constraints out of the sheaves of the intervals [A, E] over
+its atoms A, and only the isomorphism class of such an interval matters.
+So _MEMO holds one sheaf per lattice up to isomorphism, each with its
+flats written as atom masks (FlatMasks).  A parent writes [A, E] the same
+way straight off its own lattice, picks the bucket by cheap invariants
+(atom count, flat sizes, per-atom profile) and looks for an explicit atom
+bijection onto a stored lattice (find_isomorphism), checked flat by flat.
+On a hit it reads the child through that bijection and contracts nothing;
+on a miss, or when the search runs past its fixed step budget, it builds
+the contraction's sheaf and stores it.  The public matroid_sheaf returns a
+sheaf indexed by the matroid's own flats, so it reuses a stored one only
+when the atom masks agree flat for flat.
 
 Everything is degreewise linear algebra over the one-variable ring k[h],
 in localization coordinates: a section over an upper set Q of the lattice
@@ -28,21 +37,145 @@ rejected; they are what make the mod-p polynomials differ.
 
 from __future__ import annotations
 
-from klsc.errors import DegreeBoundError, TruncationBoundError
+from klsc.errors import DegreeBoundError, KlscError, TruncationBoundError
 from klsc.field import QQ
 from klsc.graded import FreeModuleShape, GradedModule
 from klsc.linalg import RowSpace, kernel_basis, load_numpy, matvec
 from klsc.matroids import Matroid
 from klsc.poly import UniPoly
+from klsc.poset import RankedPoset
 
+# (characteristic, FlatMasks.key) -> [(FlatMasks, sheaf), ...]
 _MEMO = {}
+# candidate placements one isomorphism search may try before it gives up,
+# which counts as a miss: slower, never wrong
+_SEARCH_STEPS = 20_000
+
+_bits = RankedPoset._bits
+
+
+def _atom_masks(L, a):
+    """{j: mask} over the flats j >= a of the lattice L, in index order:
+    bit i of the mask is set when the i-th atom of [a, top], the flat
+    L.covers_up[a][i], lies below j."""
+    masks = dict.fromkeys(_bits(L.up[a]), 0)
+    for i, b in enumerate(L.covers_up[a]):
+        for j in _bits(L.up[b]):
+            masks[j] |= 1 << i
+    return masks
+
+
+def _image(mask, sigma):
+    out = 0
+    for i in _bits(mask):
+        out |= 1 << sigma[i]
+    return out
+
+
+class FlatMasks:
+    """A geometric lattice as the atom masks of its flats, with the
+    invariants that bucket it in the memo and prune the isomorphism
+    search: the atom count, the sorted flat sizes and, per atom, how many
+    flats of each size contain it."""
+
+    def __init__(self, masks):
+        self.masks = masks
+        self.index = {m: i for i, m in enumerate(masks)}
+        self.n = n = max(masks).bit_length()
+        counts = [{} for _ in range(n)]
+        for m in masks:
+            size = m.bit_count()
+            for i in _bits(m):
+                counts[i][size] = counts[i].get(size, 0) + 1
+        self.profile = [tuple(sorted(c.items())) for c in counts]
+        self.key = (
+            n,
+            tuple(sorted(m.bit_count() for m in masks)),
+            tuple(sorted(self.profile)),
+        )
+        self._lines = None
+
+    @classmethod
+    def of(cls, lattice):
+        return cls(list(_atom_masks(lattice, 0).values()))
+
+    @property
+    def lines(self):
+        """lines[x][y]: the mask of the least flat holding atoms x and y."""
+        if self._lines is None:
+            full = (1 << self.n) - 1
+            lines = [[full] * self.n for _ in range(self.n)]
+            for m in self.masks:
+                atoms = list(_bits(m))
+                for x in atoms:
+                    row = lines[x]
+                    for y in atoms:
+                        row[y] &= m
+            self._lines = lines
+        return self._lines
+
+
+class _OutOfSteps(Exception):
+    pass
+
+
+def find_isomorphism(src: FlatMasks, dst: FlatMasks, budget=None):
+    """An atom bijection sigma (a list) that maps the flats of src onto
+    the flats of dst, or None when there is none or the search tries more
+    than budget placements (default _SEARCH_STEPS).  Atom x may go to
+    atom t only when their profiles agree and, for every atom y placed
+    before, the lines xy and t sigma(y) have the same size and contain
+    the same placed atoms; a full assignment must then map every flat to
+    a flat."""
+    if src.key != dst.key:
+        return None
+    budget = _SEARCH_STEPS if budget is None else budget
+    n, src_lines, dst_lines = src.n, src.lines, dst.lines
+    sigma = [0] * n
+    steps = 0
+
+    def place(x, free, placed):
+        nonlocal steps
+        if x == n:
+            return all(_image(m, sigma) in dst.index for m in src.masks)
+        row = src_lines[x]
+        for t in _bits(free):
+            if dst.profile[t] != src.profile[x]:
+                continue
+            steps += 1
+            if steps > budget:
+                raise _OutOfSteps
+            drow = dst_lines[t]
+            if all(
+                row[y].bit_count() == drow[sigma[y]].bit_count()
+                and _image(row[y] & ((1 << x) - 1), sigma) == drow[sigma[y]] & placed
+                for y in range(x)
+            ):
+                sigma[x] = t
+                if place(x + 1, free & ~(1 << t), placed | 1 << t):
+                    return True
+        return False
+
+    try:
+        return sigma if place(0, (1 << n) - 1, 0) else None
+    except _OutOfSteps:
+        return None
+
+
+def _memoize(sheaf, shape):
+    _MEMO.setdefault((sheaf.field.characteristic, shape.key), []).append((shape, sheaf))
+    return sheaf
 
 
 def matroid_sheaf(matroid: Matroid, field=QQ) -> "MatroidIHSheaf":
-    key = (matroid.canonical_key(), field.characteristic)
-    if key not in _MEMO:
-        _MEMO[key] = MatroidIHSheaf(matroid, field)
-    return _MEMO[key]
+    """The sheaf of the matroid, indexed by the matroid's own flats.  A
+    memoized sheaf is reused only when its flats, as atom masks, are the
+    matroid's flat for flat; otherwise the sheaf is built and memoized."""
+    shape = FlatMasks.of(matroid.lattice())
+    for stored, sheaf in _MEMO.get((field.characteristic, shape.key), ()):
+        if stored.masks == shape.masks:
+            return sheaf
+    return _memoize(MatroidIHSheaf(matroid, field), shape)
 
 
 class MatroidIHSheaf:
@@ -62,28 +195,20 @@ class MatroidIHSheaf:
         self.leq = L.leq
         self.bottom = 0  # flats are sorted by rank, the empty flat first
 
-        self.children = []  # (atom flat index, child sheaf, parent->child flat map)
+        # (atom flat index, child sheaf, child flat -> parent flat)
+        self.children = []
         self.stalk_shapes = [None] * len(self.flats)
+        self._layouts = {}  # degree -> (proper layout, its positions)
+        self._full_layouts = {}  # degree -> full layout, once the bottom stalk is fixed
         if self.rank == 0:
             self.stalk_shapes[0] = (0,)
         else:
-            atoms = [i for i in L.elements() if L.rank[i] == 1]
-            for a in atoms:
-                child_matroid, relabel = matroid.contract(self.flats[a])
-                child = matroid_sheaf(child_matroid, field)
-                fmap = {}
-                for j in L.elements():
-                    if L.leq(a, j):
-                        image = frozenset(relabel[e] for e in self.flats[j] - self.flats[a])
-                        fmap[j] = child.flats.index(image)
-                self.children.append((a, child, fmap))
-            for j in L.elements():
-                if j == self.bottom:
-                    continue
-                a, child, fmap = next(
-                    c for c in self.children if L.leq(c[0], j)
-                )
-                self.stalk_shapes[j] = child.stalk_shapes[fmap[j]]
+            for a in L.covers_up[self.bottom]:
+                child, fmap = self._child(a)
+                self.children.append((a, child, {cf: j for j, cf in fmap.items()}))
+                for j, cf in fmap.items():
+                    if j != self.bottom and self.stalk_shapes[j] is None:
+                        self.stalk_shapes[j] = child.stalk_shapes[cf]
 
         # per-degree data, extended on demand
         self._proper = []  # RowSpace of F(L - bottom) per degree
@@ -106,23 +231,59 @@ class MatroidIHSheaf:
                 "global section generator above the lattice rank"
             )
 
+    def _child(self, a):
+        """The sheaf of the interval [a, top] and the map from its flats
+        j >= a to that sheaf's flat indices.  The sheaf is a memoized one
+        of an isomorphic lattice when the search finds it; otherwise the
+        contraction at flat a is built and memoized."""
+        masks = _atom_masks(self.lattice, a)
+        shape = FlatMasks(list(masks.values()))
+        for stored, sheaf in _MEMO.get((self.field.characteristic, shape.key), ()):
+            sigma = find_isomorphism(shape, stored)
+            if sigma is not None:
+                return sheaf, {j: stored.index[_image(m, sigma)] for j, m in masks.items()}
+        contracted, relabel = self.matroid.contract(self.flats[a])
+        child = MatroidIHSheaf(contracted, self.field)
+        _memoize(child, FlatMasks.of(child.lattice))
+        index = {f: i for i, f in enumerate(child.flats)}
+        fa = self.flats[a]
+        return child, {
+            j: index[frozenset(relabel[e] for e in self.flats[j] - fa)] for j in masks
+        }
+
     # -- coordinate layouts -----------------------------------------------------------
 
+    def _proper_coords(self, d):
+        """(layout, positions) of the stalks above the bottom: the (flat,
+        generator) pairs with generator degree <= d, and each pair's
+        coordinate.  Those stalks are fixed before the sweep starts."""
+        if d not in self._layouts:
+            layout = [
+                (j, gi)
+                for j in range(1, len(self.flats))
+                for gi, gd in enumerate(self.stalk_shapes[j])
+                if gd <= d
+            ]
+            self._layouts[d] = layout, {key: c for c, key in enumerate(layout)}
+        return self._layouts[d]
+
     def proper_layout(self, d):
-        out = []
-        for j in range(1, len(self.flats)):
-            for gi, gd in enumerate(self.stalk_shapes[j]):
-                if gd <= d:
-                    out.append((j, gi))
-        return out
+        return self._proper_coords(d)[0]
 
     def full_layout(self, d):
+        """The bottom stalk's generators of degree <= d, then
+        proper_layout(d); cached only once __init__ has fixed the bottom
+        stalk."""
+        if d in self._full_layouts:
+            return self._full_layouts[d]
         out = [
             (0, gi)
             for gi, gd in enumerate(self.stalk_shapes[0] or ())
             if gd <= d
         ]
-        out.extend(self.proper_layout(d))
+        out += self.proper_layout(d)
+        if self.stalk_shapes[self.bottom] is not None:
+            self._full_layouts[d] = out
         return out
 
     @staticmethod
@@ -176,8 +337,7 @@ class MatroidIHSheaf:
             self._max_degree = d
             return
 
-        layout = self.proper_layout(d)
-        pos = {key: c for c, key in enumerate(layout)}
+        layout, pos = self._proper_coords(d)
         size = len(layout)
 
         def shift_positions(src_layout):
@@ -185,12 +345,11 @@ class MatroidIHSheaf:
             return self._np.array(out, dtype=self._np.intp) if self.np_vectors else out
 
         rows = []
-        for a, child, fmap in self.children:
+        for a, child, cmap in self.children:
             child._ensure(d)
             child_layout = child.full_layout(d)
             child_ann = child.annihilator(d)
-            inv = {v: k for k, v in fmap.items()}
-            positions = [pos[(inv[cf], gi)] for (cf, gi) in child_layout]
+            positions = [pos[(cmap[cf], gi)] for (cf, gi) in child_layout]
             if self.np_vectors:
                 positions = self._np.array(positions, dtype=self._np.intp)
             for func in child_ann:
@@ -294,51 +453,53 @@ class MatroidIHSheaf:
                 space.add([field.from_int(1)])
                 self._full[d] = space
                 return space
-            layout = self.full_layout(d)
-            pos = {key: c for c, key in enumerate(layout)}
-            proper_layout = self.proper_layout(d)
+            proper_layout, proper_pos = self._proper_coords(d)
+            size = len(proper_layout)
             fbasis = self._proper[d].basis()
-            gens_active = [
-                (gi, gd) for gi, gd in enumerate(self.stalk_shapes[0]) if gd <= d
+            lifts = [
+                self._lifts[gi] for gi, gd in enumerate(self.stalk_shapes[0]) if gd <= d
             ]
             # unknowns: coefficients over fbasis, then bottom-stalk coords
             nf = len(fbasis)
-            nm = len(gens_active)
-            residuals = []
+            nm = len(lifts)
             nred = self._nspace[d]
-            for v in fbasis:
-                res, _ = nred.reduce(v)
-                residuals.append(res)
-            for gi, gd in gens_active:
-                lift_deg, lift_vec = self._lifts[gi]
+            residuals = [nred.reduce(v)[0] for v in fbasis]
+            for lift_deg, lift_vec in lifts:
                 shifted = self._reindex(
-                    lift_vec,
-                    self.proper_layout(lift_deg),
-                    {key: c for c, key in enumerate(proper_layout)},
-                    field,
+                    lift_vec, self.proper_layout(lift_deg), proper_pos, field
                 )
                 res, _ = nred.reduce(shifted)
                 residuals.append([field.neg(x) for x in res])
             rows = [
                 [residuals[j][c] for j in range(nf + nm)]
-                for c in range(len(proper_layout))
+                for c in range(size)
             ]
-            space = RowSpace(field, len(layout))
-            for sol in kernel_basis(rows, nf + nm, field):
-                vec = [field.zero] * len(layout)
-                for j in range(nf):
-                    a = sol[j]
-                    if field.is_zero(a):
-                        continue
-                    for c, key in enumerate(proper_layout):
-                        x = fbasis[j][c]
-                        if not field.is_zero(x):
-                            vec[pos[key]] = field.add(vec[pos[key]], field.mul(a, x))
-                for jj, (gi, gd) in enumerate(gens_active):
-                    a = sol[nf + jj]
-                    if not field.is_zero(a):
-                        vec[pos[(0, gi)]] = a
-                space.add(vec)
+            sols = kernel_basis(rows, nf + nm, field)
+            # a section's full coordinates: its bottom-stalk coords, then
+            # the combination of fbasis, in the order of full_layout(d)
+            space = RowSpace(field, nm + size)
+            if self.np_vectors:
+                np, p = self._np, field.p
+                if nf * (p - 1) ** 2 >= 2**63:
+                    raise KlscError(
+                        f"GF({p}) combination of {nf} vectors would overflow int64"
+                    )
+                if sols:
+                    sol = np.array(sols, dtype=np.int64)
+                    basis = np.array(fbasis, dtype=np.int64).reshape(nf, size)
+                    # entries below nf (p-1)^2; RowSpace.add takes them mod p
+                    proper = sol[:, :nf] @ basis
+                    for v in np.concatenate((sol[:, nf:], proper), axis=1):
+                        space.add(v)
+            else:
+                supports = [[(c, x) for c, x in enumerate(v) if x] for v in fbasis]
+                for sol in sols:
+                    vec = list(sol[nf:]) + [0] * size
+                    for a, support in zip(sol, supports):
+                        if a:
+                            for c, x in support:
+                                vec[nm + c] += a * x
+                    space.add(vec)
             if space.dim != self._sect_dims[d]:
                 raise TruncationBoundError(
                     "global section basis dimension mismatch"

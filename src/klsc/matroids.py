@@ -1,14 +1,15 @@
 """Matroids, their lattices of flats, and the graded Moebius algebra.
 
 A matroid is carried by its rank oracle; flats are enumerated by closure
-BFS and assembled into a geometric lattice (atomicity and semimodularity
-are checked).  Contractions are materialized as genuine matroids on a
-canonically relabelled ground set, which is what lets the sheaf machinery
-memoize isomorphic contractions.  A contraction M/F inherits its flats
-and their ranks from M (they are the flats G >= F, minus F), so only a
-matroid that is not a contraction runs the closure BFS; every lattice is
-still built and checked geometric.  A matroid given by its bases answers
-rank queries on int bitmasks.
+BFS on int masks and assembled into a geometric lattice (atomicity and
+semimodularity are checked).  Contractions are materialized as genuine
+matroids on the ground set E - F relabelled order-isomorphically; the
+sheaf machinery (klsc.matroid_ih) builds one only when no isomorphic
+lattice is memoized yet.  A contraction M/F inherits its flats and their
+ranks from M (they are the flats G >= F, minus F), so only a matroid that
+is not a contraction runs the closure BFS; every lattice is still built
+and checked geometric.  A matroid given by its bases answers rank and
+closure queries on int bitmasks, a closure in one pass over the bases.
 
 The graded Moebius algebra has basis y_F over the flats with
 
@@ -28,6 +29,9 @@ from klsc.linalg import RowSpace
 from klsc.poset import RankedPoset
 
 
+_bits = RankedPoset._bits
+
+
 def _mask(elems):
     m = 0
     for e in elems:
@@ -38,9 +42,11 @@ def _mask(elems):
 class Matroid:
     """A loopless matroid given by a rank oracle on frozensets."""
 
-    def __init__(self, n, rank_fn, tag=None, validate=True):
+    def __init__(self, n, rank_fn, tag=None, validate=True, close=None):
         self.n = n
         self._rank_fn = rank_fn
+        # optional closure on int masks, mask -> (closure mask, rank)
+        self._close = close
         self._rank_cache = {}
         self.tag = tag
         self.rank = self.rank_of(frozenset(range(n)))
@@ -68,15 +74,14 @@ class Matroid:
             raise InvalidInputError("basis element out of range")
         masks = [_mask(b) for b in bs]
         bset = set(masks)
-        bits = RankedPoset._bits
         union = 0
         for b in masks:
             union |= b
         for b1 in masks:
             # for each x in b1, the mask of the y with b1 - x + y a basis
-            others = [1 << y for y in bits(union & ~b1)]
+            others = [1 << y for y in _bits(union & ~b1)]
             swaps = []
-            for x in bits(b1):
+            for x in _bits(b1):
                 rest = b1 ^ (1 << x)
                 ys = 0
                 for y in others:
@@ -87,15 +92,29 @@ class Matroid:
                 for x, ys in swaps:
                     if not (b2 >> x & 1 or ys & b2):
                         raise InvalidInputError(
-                            f"bases violate the exchange axiom at {sorted(bits(b1))}, "
-                            f"{sorted(bits(b2))}, element {x}"
+                            f"bases violate the exchange axiom at {sorted(_bits(b1))}, "
+                            f"{sorted(_bits(b2))}, element {x}"
                         )
 
         def rank_fn(s):
             m = _mask(s)
             return max((m & b).bit_count() for b in masks)
 
-        return Matroid(n, rank_fn)
+        ground = (1 << n) - 1
+
+        def close(m):
+            # rk(S + e) > rk S exactly when e lies in a basis b with
+            # |b & S| = rk S, so cl(S) adds every element outside them all
+            r = union = 0
+            for b in masks:
+                k = (m & b).bit_count()
+                if k > r:
+                    r, union = k, b
+                elif k == r:
+                    union |= b
+            return m | (ground & ~union), r
+
+        return Matroid(n, rank_fn, close=close)
 
     @staticmethod
     def uniform(k, n) -> "Matroid":
@@ -229,33 +248,44 @@ class Matroid:
             self._rank_cache[s] = self._rank_fn(s)
         return self._rank_cache[s]
 
-    def closure(self, s):
-        s = frozenset(s)
+    def _close_mask(self, m):
+        """(closure of the set with int mask m, as a mask; its rank)."""
+        if self._close is not None:
+            return self._close(m)
+        s = frozenset(_bits(m))
         r = self.rank_of(s)
-        return frozenset(
-            e for e in range(self.n) if e in s or self.rank_of(s | {e}) == r
-        )
+        for e in _bits(((1 << self.n) - 1) & ~m):
+            if self.rank_of(s | {e}) == r:
+                m |= 1 << e
+        return m, self.rank_of(frozenset(_bits(m)))
+
+    def closure(self, s):
+        return frozenset(_bits(self._close_mask(_mask(s))[0]))
 
     def flats(self):
-        """All flats, sorted by (rank, sorted elements)."""
+        """All flats, sorted by (rank, sorted elements): closure BFS on int
+        masks, which also records every flat's rank."""
         if self._flats is None:
-            bottom = self.closure(frozenset())
+            bottom, r = self._close_mask(0)
             if bottom:
                 raise InvalidInputError("matroid has a loop")
-            seen = {bottom}
+            ranks = {bottom: r}
             frontier = [bottom]
             while frontier:
                 nxt = []
                 for f in frontier:
-                    for e in range(self.n):
-                        if e in f:
-                            continue
-                        g = self.closure(f | {e})
-                        if g not in seen:
-                            seen.add(g)
+                    for e in _bits(((1 << self.n) - 1) & ~f):
+                        g, r = self._close_mask(f | 1 << e)
+                        if g not in ranks:
+                            ranks[g] = r
                             nxt.append(g)
                 frontier = nxt
-            self._flats = sorted(seen, key=lambda f: (self.rank_of(f), sorted(f)))
+            flats = []
+            for m, r in ranks.items():
+                f = frozenset(_bits(m))
+                self._rank_cache[f] = r
+                flats.append(f)
+            self._flats = sorted(flats, key=lambda f: (self._rank_cache[f], sorted(f)))
         return self._flats
 
     def lattice(self) -> RankedPoset:
@@ -317,12 +347,6 @@ class Matroid:
                 inherited.append(h)
         child._flats = sorted(inherited, key=lambda h: (child._rank_cache[h], sorted(h)))
         return child, relabel
-
-    def canonical_key(self):
-        """Memoization key; equal keys mean equal labelled lattices."""
-        if self.tag and self.tag[0] in ("uniform", "boolean"):
-            return self.tag
-        return ("flats", self.n, frozenset(self.flats()))
 
     # -- structure tests ------------------------------------------------------------------
 
