@@ -126,40 +126,56 @@ def find_isomorphism(src: FlatMasks, dst: FlatMasks, budget=None):
     atom t only when their profiles agree and, for every atom y placed
     before, the lines xy and t sigma(y) have the same size and contain
     the same placed atoms; a full assignment must then map every flat to
-    a flat."""
+    a flat.  The backtracking keeps its own stack, so the number of atoms
+    is not bounded by the recursion limit."""
     if src.key != dst.key:
         return None
     budget = _SEARCH_STEPS if budget is None else budget
     n, src_lines, dst_lines = src.n, src.lines, dst.lines
-    sigma = [0] * n
+    full = (1 << n) - 1
+    sigma = []
+    placed = 0  # the atoms of dst that sigma hits
     steps = 0
 
-    def place(x, free, placed):
+    def fits(x, t):
         nonlocal steps
-        if x == n:
-            return all(_image(m, sigma) in dst.index for m in src.masks)
-        row = src_lines[x]
-        for t in _bits(free):
-            if dst.profile[t] != src.profile[x]:
-                continue
-            steps += 1
-            if steps > budget:
-                raise _OutOfSteps
-            drow = dst_lines[t]
-            if all(
-                row[y].bit_count() == drow[sigma[y]].bit_count()
-                and _image(row[y] & ((1 << x) - 1), sigma) == drow[sigma[y]] & placed
-                for y in range(x)
-            ):
-                sigma[x] = t
-                if place(x + 1, free & ~(1 << t), placed | 1 << t):
-                    return True
-        return False
+        if dst.profile[t] != src.profile[x]:
+            return False
+        steps += 1
+        if steps > budget:
+            raise _OutOfSteps
+        row, drow = src_lines[x], dst_lines[t]
+        for y in range(x):
+            line, image = row[y], drow[sigma[y]]
+            size = line.bit_count()
+            if size != image.bit_count():
+                return False
+            # a two-atom line or the top holds no other placed atom to compare
+            if 2 < size < n and _image(line & ((1 << x) - 1), sigma) != image & placed:
+                return False
+        return True
 
+    tries = [_bits(full)]  # tries[x]: the images of atom x not tried yet
     try:
-        return sigma if place(0, (1 << n) - 1, 0) else None
+        while tries:
+            x = len(sigma)
+            if x == n:
+                if all(_image(m, sigma) in dst.index for m in src.masks):
+                    return sigma
+                t = None
+            else:
+                t = next((t for t in tries[x] if fits(x, t)), None)
+            if t is None:
+                tries.pop()
+                if sigma:
+                    placed &= ~(1 << sigma.pop())
+                continue
+            sigma.append(t)
+            placed |= 1 << t
+            tries.append(_bits(full & ~placed))
     except _OutOfSteps:
-        return None
+        pass
+    return None
 
 
 def _memoize(sheaf, shape):

@@ -1,15 +1,24 @@
 """Matroids, Moebius algebra, the matroid sheaf, and mod-p variants."""
 
+import inspect
+import random
+import sys
+
 import pytest
 
+from klsc import matroid_ih
 from klsc.errors import InvalidInputError
-from klsc.field import GF
+from klsc.field import GF, QQ
 from klsc.graded import FreeModuleShape
 from klsc.kls import matroid_kernel, monotonicity_check, solve_kls, z_polynomial
 from klsc.matroids import Matroid, MobiusAlgebra, flats_from_bases, p_trivial_criterion
+from klsc.linalg import RowSpace, kernel_basis
 from klsc.matroid_ih import (
+    FlatMasks,
+    _image,
     all_stalk_polynomials,
     build_matroid_sheaf_generic,
+    find_isomorphism,
     kl_polynomial,
     matroid_sheaf,
     shifted_stalk_shape,
@@ -365,8 +374,6 @@ def _memo_inputs():
 def _relabelled(m, seed):
     """m on a seeded permutation of its ground set; returns (matroid, perm)
     with element e of m presented as perm[e]."""
-    import random
-
     perm = list(range(m.n))
     random.Random(seed).shuffle(perm)
     return Matroid.from_bases(m.n, [[perm[e] for e in b] for b in bases_of(m)]), perm
@@ -392,8 +399,6 @@ def _rank3(n, lines):
 
 
 def _count_builds(monkeypatch):
-    from klsc import matroid_ih
-
     count = [0]
     init = matroid_ih.MatroidIHSheaf.__init__
 
@@ -413,9 +418,6 @@ class TestIsomorphismMemo:
         a relabelling of it, with the memo on, against a build in which
         every search gives up at once and the memo is cleared before each
         contraction, so no two intervals share a sheaf."""
-        from klsc import matroid_ih
-        from klsc.field import QQ
-
         field = GF(p) if p else QQ
         m = _memo_inputs()[name]()
         relabelled, perm = _relabelled(m, seed=sum(map(ord, name)))
@@ -448,8 +450,6 @@ class TestIsomorphismMemo:
             assert all(shared.stalk_poincare(j) == table[(j, L.top())] for j in L.elements())
 
     def test_isomorphism_maps_flats_to_an_isomorphic_lattice(self):
-        from klsc.matroid_ih import FlatMasks, _image, find_isomorphism
-
         for seed, (name, make) in enumerate(sorted(_memo_inputs().items())):
             m = make()
             other, _ = _relabelled(m, seed)
@@ -470,8 +470,6 @@ class TestIsomorphismMemo:
         a point of it.  Every point lies on the same number of 3-point
         lines in both, so all the bucket invariants agree.  Enumerating
         rank-3 matroids on 6 and 7 points turns up no such pair."""
-        from klsc.matroid_ih import FlatMasks, find_isomorphism
-
         cycle = [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 0)]
         triangle = [(0, 1, 2), (2, 3, 4), (4, 5, 0), (1, 6, 7)]
         a = FlatMasks.of(_rank3(8, cycle).lattice())
@@ -491,8 +489,6 @@ class TestIsomorphismMemo:
         triples, each atom in two triples.  All lines have two atoms, so
         the line pruning passes every bijection; only the check that
         each set maps onto a set tells the families apart."""
-        from klsc.matroid_ih import FlatMasks, find_isomorphism
-
         def family(triples):
             sets = [()] + [(i,) for i in range(6)] + list(combinations(range(6), 2))
             sets += triples + [tuple(range(6))]
@@ -510,10 +506,20 @@ class TestIsomorphismMemo:
         assert find_isomorphism(a, b, budget=10**9) is None
         assert find_isomorphism(a, family(shared_pairs[::-1])) is not None
 
-    def test_search_out_of_steps_is_a_miss(self, monkeypatch):
-        from klsc import matroid_ih
-        from klsc.matroid_ih import FlatMasks, find_isomorphism
+    def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
+        n = 200
+        top = (1 << n) - 1
+        a = FlatMasks([0] + [1 << i for i in range(n)] + [top])
+        b = FlatMasks([0] + [1 << i for i in reversed(range(n))] + [top])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 50)
+        try:
+            sigma = find_isomorphism(a, b)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert sorted(sigma) == list(range(n))
 
+    def test_search_out_of_steps_is_a_miss(self, monkeypatch):
         k5 = _memo_inputs()["K5"]()
         other, _ = _relabelled(k5, seed=5)
         src, dst = FlatMasks.of(k5.lattice()), FlatMasks.of(other.lattice())
@@ -538,16 +544,12 @@ class TestIsomorphismMemo:
     def test_one_build_per_isomorphism_class(self, name, builds, monkeypatch):
         """One sheaf per isomorphism class of interval [F, E]: for K5 the
         partition lattices of 5, 4, 3, 2 and 1 points."""
-        from klsc import matroid_ih
-
         count = _count_builds(monkeypatch)
         matroid_ih._MEMO.clear()
         matroid_sheaf(_memo_inputs()[name]())
         assert count[0] == builds
 
     def test_matroid_sheaf_reuses_only_the_same_labelling(self):
-        from klsc import matroid_ih
-
         matroid_ih._MEMO.clear()
         m = _memo_inputs()["K4"]()
         s = matroid_sheaf(m)
@@ -579,8 +581,6 @@ def _full_basis_by_loops(sheaf, d):
     """The global sections at degree d, combined entry by entry with the
     field's scalar operations: the reference for the array/sparse
     combination in MatroidIHSheaf.full_basis."""
-    from klsc.linalg import RowSpace, kernel_basis
-
     field = sheaf.field
     layout = sheaf.full_layout(d)
     pos = {key: c for c, key in enumerate(layout)}
@@ -612,9 +612,6 @@ def _full_basis_by_loops(sheaf, d):
 class TestFullBasis:
     @pytest.mark.parametrize("p", [0, 2, 3, 65521])
     def test_combination_matches_scalar_loops(self, p):
-        from klsc import matroid_ih
-        from klsc.field import QQ
-
         field = GF(p) if p else QQ
         for m in (Matroid.fano(), Matroid.uniform(3, 5), _memo_inputs()["K4"]()):
             matroid_ih._MEMO.clear()
