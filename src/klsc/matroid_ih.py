@@ -4,17 +4,49 @@ The sheaf on the lattice of flats assigns to the minimal open set above a
 flat F the sections of the same construction for the contraction at F,
 whose lattice of flats is the interval [F, E].  A parent reads its stalks
 and its atom constraints out of the sheaves of the intervals [A, E] over
-its atoms A, and only the isomorphism class of such an interval matters.
-So _MEMO holds one sheaf per lattice up to isomorphism, each with its
-flats written as atom masks (FlatMasks).  A parent writes [A, E] the same
-way straight off its own lattice, picks the bucket by cheap invariants
-(atom count, flat sizes, per-atom profile) and looks for an explicit atom
-bijection onto a stored lattice (find_isomorphism), checked flat by flat.
-On a hit it reads the child through that bijection and contracts nothing;
-on a miss, or when the search runs past its fixed step budget, it builds
-the contraction's sheaf and stores it.  The public matroid_sheaf returns a
-sheaf indexed by the matroid's own flats, so it reuses a stored one only
-when the atom masks agree flat for flat.
+its atoms A (its children), so _MEMO holds sheaves by the isomorphism
+class of their lattice, each with its flats written as atom masks
+(FlatMasks).  A parent writes [A, E] the same way straight off its own
+lattice, picks the bucket by cheap invariants (atom count, flat sizes,
+per-atom profile) and either finds an explicit atom bijection onto a
+stored lattice (find_isomorphism), checked flat by flat, or matches a
+stored sheaf's labelled flats; only on a miss does it contract and build.
+
+Stalk bases.  A flat G of rank >= 2 lies over several atoms, and every
+child over G must read the stalk at G in the same basis.  A chain of
+children down to G fixes that basis as the bottom stalk of a stored sheaf
+T together with an isomorphism from [G, E] to T's lattice; two chains can
+differ by an automorphism of T's lattice, and automorphisms need not fix
+T's stalk basis (they act on the t-coefficient of the lattice of U(3,4)
+as the 2-dimensional S_4-module V_{2,2}).  The basis at G cannot depend on
+the chain when G is settled:
+
+* its stalk is one generator in degree 0.  Echelon bases are normalised,
+  so every degree-0 generator lifts to the constant section with all
+  coordinates 1, which every automorphism fixes;
+* or [G, E] has rank <= 2.  Its automorphisms permute the atoms A and fix
+  the top T, so they move a section in degree d >= 1 by differences of
+  atom coordinates, which lie in the y-images (y_A of the constant section
+  is e_A + e_T, shifted by h^(d-1)).  A generator in degree 1 lifts to the
+  unit vector of the first atom, the same class for every sheaf and every
+  isomorphism, and there are no generators in degree >= 2.
+
+A sheaf is settled when all its flats are.  So a child is read through an
+arbitrary isomorphism only where the chain cannot matter:
+
+* a settled child goes through any isomorphism;
+* the root, the sheaf matroid_sheaf builds, reads any child through any
+  isomorphism when all its flats of rank >= 2 are settled: its other
+  flats are atoms, each read by one child.  Such a root is not nested
+  (MatroidIHSheaf.nested) and is never read as a child;
+* every other child is the sheaf of the contraction relabelled
+  order-isomorphically, found by its labelled flats, so all chains to G
+  compose to the same relabelling of E - G and end at the one nested
+  sheaf with those flats.
+
+A search that runs past its fixed step budget counts as a miss: slower,
+never wrong.  The public matroid_sheaf returns a sheaf indexed by the
+matroid's own flats, so it reuses a stored one only when the flats agree.
 
 Everything is degreewise linear algebra over the one-variable ring k[h],
 in localization coordinates: a section over an upper set Q of the lattice
@@ -45,7 +77,7 @@ from klsc.matroids import Matroid
 from klsc.poly import UniPoly
 from klsc.poset import RankedPoset
 
-# (characteristic, FlatMasks.key) -> [(FlatMasks, sheaf), ...]
+# (characteristic, FlatMasks.key) -> [(FlatMasks, sheaf, {flat: index}), ...]
 _MEMO = {}
 # candidate placements one isomorphism search may try before it gives up,
 # which counts as a miss: slower, never wrong
@@ -119,10 +151,10 @@ class _OutOfSteps(Exception):
     pass
 
 
-def find_isomorphism(src: FlatMasks, dst: FlatMasks, budget=None):
+def find_isomorphism(src: FlatMasks, dst: FlatMasks):
     """An atom bijection sigma (a list) that maps the flats of src onto
     the flats of dst, or None when there is none or the search tries more
-    than budget placements (default _SEARCH_STEPS).  Atom x may go to
+    than _SEARCH_STEPS placements.  Atom x may go to
     atom t only when their profiles agree and, for every atom y placed
     before, the lines xy and t sigma(y) have the same size and contain
     the same placed atoms; a full assignment must then map every flat to
@@ -130,7 +162,6 @@ def find_isomorphism(src: FlatMasks, dst: FlatMasks, budget=None):
     is not bounded by the recursion limit."""
     if src.key != dst.key:
         return None
-    budget = _SEARCH_STEPS if budget is None else budget
     n, src_lines, dst_lines = src.n, src.lines, dst.lines
     full = (1 << n) - 1
     sigma = []
@@ -142,7 +173,7 @@ def find_isomorphism(src: FlatMasks, dst: FlatMasks, budget=None):
         if dst.profile[t] != src.profile[x]:
             return False
         steps += 1
-        if steps > budget:
+        if steps > _SEARCH_STEPS:
             raise _OutOfSteps
         row, drow = src_lines[x], dst_lines[t]
         for y in range(x):
@@ -179,25 +210,32 @@ def find_isomorphism(src: FlatMasks, dst: FlatMasks, budget=None):
 
 
 def _memoize(sheaf, shape):
-    _MEMO.setdefault((sheaf.field.characteristic, shape.key), []).append((shape, sheaf))
+    entry = shape, sheaf, {f: i for i, f in enumerate(sheaf.flats)}
+    _MEMO.setdefault((sheaf.field.characteristic, shape.key), []).append(entry)
     return sheaf
 
 
 def matroid_sheaf(matroid: Matroid, field=QQ) -> "MatroidIHSheaf":
     """The sheaf of the matroid, indexed by the matroid's own flats.  A
-    memoized sheaf is reused only when its flats, as atom masks, are the
-    matroid's flat for flat; otherwise the sheaf is built and memoized."""
+    memoized sheaf is reused only when its flats are the matroid's;
+    otherwise the sheaf is built as a root and memoized."""
+    flats = matroid.flats()
     shape = FlatMasks.of(matroid.lattice())
-    for stored, sheaf in _MEMO.get((field.characteristic, shape.key), ()):
-        if stored.masks == shape.masks:
+    for _, sheaf, _ in _MEMO.get((field.characteristic, shape.key), ()):
+        if sheaf.flats == flats:
             return sheaf
-    return _memoize(MatroidIHSheaf(matroid, field), shape)
+    return _memoize(MatroidIHSheaf(matroid, field, root=True), shape)
 
 
 class MatroidIHSheaf:
-    """The sheaf of one matroid, with lazily extendable degree data."""
+    """The sheaf of one matroid, with lazily extendable degree data.
 
-    def __init__(self, matroid: Matroid, field):
+    A root reads children through any isomorphism when it may (see the
+    module docstring); nested says whether it stayed safe to read as a
+    child.  plain: every flat above the bottom is settled; settled: the
+    bottom too."""
+
+    def __init__(self, matroid: Matroid, field, root=False):
         self.matroid = matroid
         self.field = field
         self.rank = matroid.rank
@@ -216,11 +254,21 @@ class MatroidIHSheaf:
         self.stalk_shapes = [None] * len(self.flats)
         self._layouts = {}  # degree -> (proper layout, its positions)
         self._full_layouts = {}  # degree -> full layout, once the bottom stalk is fixed
+        self.nested = True
         if self.rank == 0:
             self.stalk_shapes[0] = (0,)
         else:
-            for a in L.covers_up[self.bottom]:
-                child, fmap = self._child(a)
+            atoms = L.covers_up[self.bottom]
+            picks = [self._child(a, root) for a in atoms]
+            if root and not all(child.plain for child, _, _ in picks):
+                # a flat of rank >= 2 is not settled: read the children
+                # that are not settled through the natural map instead
+                picks = [
+                    pick if pick[2] or pick[0].settled else self._child(a, False)
+                    for a, pick in zip(atoms, picks)
+                ]
+            self.nested = all(natural or child.settled for child, _, natural in picks)
+            for a, (child, fmap, _) in zip(atoms, picks):
                 self.children.append((a, child, {cf: j for j, cf in fmap.items()}))
                 for j, cf in fmap.items():
                     if j != self.bottom and self.stalk_shapes[j] is None:
@@ -242,30 +290,47 @@ class MatroidIHSheaf:
             self._bottom_gens = [0]
         self._ensure(self.rank + 1)
         self.stalk_shapes[self.bottom] = tuple(self._bottom_gens)
+        settled = [
+            shape == (0,) or self.rank - r <= 2
+            for shape, r in zip(self.stalk_shapes, L.rank)
+        ]
+        self.plain = all(settled[1:])
+        self.settled = self.plain and settled[0]
         if self._z_gens and max(self._z_gens) > self.rank:
             raise TruncationBoundError(
                 "global section generator above the lattice rank"
             )
 
-    def _child(self, a):
-        """The sheaf of the interval [a, top] and the map from its flats
-        j >= a to that sheaf's flat indices.  The sheaf is a memoized one
-        of an isomorphic lattice when the search finds it; otherwise the
-        contraction at flat a is built and memoized."""
+    def _child(self, a, any_class):
+        """(sheaf of the interval [a, top], map from the flats j >= a to
+        that sheaf's flat indices, whether the map is the natural one).
+        A stored nested sheaf is read through any isomorphism the search
+        finds when it is settled, or any at all when any_class is set;
+        otherwise a stored nested sheaf with the contraction's labelled
+        flats is read through them, and failing both the contraction at
+        flat a is built and memoized."""
         masks = _atom_masks(self.lattice, a)
         shape = FlatMasks(list(masks.values()))
-        for stored, sheaf in _MEMO.get((self.field.characteristic, shape.key), ()):
-            sigma = find_isomorphism(shape, stored)
-            if sigma is not None:
-                return sheaf, {j: stored.index[_image(m, sigma)] for j, m in masks.items()}
-        contracted, relabel = self.matroid.contract(self.flats[a])
+        bucket = _MEMO.get((self.field.characteristic, shape.key), ())
+        for stored, sheaf, _ in bucket:
+            if sheaf.nested and (any_class or sheaf.settled):
+                sigma = find_isomorphism(shape, stored)
+                if sigma is not None:
+                    fmap = {j: stored.index[_image(m, sigma)] for j, m in masks.items()}
+                    return sheaf, fmap, False
+        fa = self.flats[a]
+        rest = sorted(set(range(self.matroid.n)) - fa)
+        relabel = {e: i for i, e in enumerate(rest)}
+        labelled = {j: frozenset(relabel[e] for e in self.flats[j] - fa) for j in masks}
+        flats = set(labelled.values())
+        for _, sheaf, index in bucket:
+            if sheaf.nested and index.keys() == flats:
+                return sheaf, {j: index[f] for j, f in labelled.items()}, True
+        contracted, _ = self.matroid.contract(fa)
         child = MatroidIHSheaf(contracted, self.field)
         _memoize(child, FlatMasks.of(child.lattice))
         index = {f: i for i, f in enumerate(child.flats)}
-        fa = self.flats[a]
-        return child, {
-            j: index[frozenset(relabel[e] for e in self.flats[j] - fa)] for j in masks
-        }
+        return child, {j: index[f] for j, f in labelled.items()}, True
 
     # -- coordinate layouts -----------------------------------------------------------
 

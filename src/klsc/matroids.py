@@ -4,11 +4,11 @@ A matroid is carried by its rank oracle; flats are enumerated by closure
 BFS on int masks and assembled into a geometric lattice (atomicity and
 semimodularity are checked).  Contractions are materialized as genuine
 matroids on the ground set E - F relabelled order-isomorphically; the
-sheaf machinery (klsc.matroid_ih) builds one only when no isomorphic
-lattice is memoized yet.  A contraction M/F inherits its flats and their
-ranks from M (they are the flats G >= F, minus F), so only a matroid that
-is not a contraction runs the closure BFS; every lattice is still built
-and checked geometric.  A matroid given by its bases answers rank and
+sheaf machinery (klsc.matroid_ih) builds one only when it holds no
+stored sheaf it may read for that interval.  A contraction M/F inherits
+its flats and their ranks from M (they are the flats G >= F, minus F), so
+only a matroid that is not a contraction runs the closure BFS; every
+lattice is still built and checked geometric.  A matroid given by its bases answers rank and
 closure queries on int bitmasks, a closure in one pass over the bases.
 
 The graded Moebius algebra has basis y_F over the flats with
@@ -332,13 +332,7 @@ class Matroid:
             lifted = frozenset(rest[i] for i in s)
             return parent.rank_of(lifted | f) - base_rank
 
-        tag = None
-        if self.tag and self.tag[0] == "uniform":
-            _, k, n = self.tag
-            tag = ("uniform", k - base_rank, n - len(f))
-        elif self.tag and self.tag[0] == "boolean":
-            tag = ("boolean", self.n - len(f))
-        child = Matroid(len(rest), rank_fn, tag=tag)
+        child = Matroid(len(rest), rank_fn)
         inherited = []
         for g in self.flats():
             if f <= g:

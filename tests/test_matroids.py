@@ -105,7 +105,6 @@ class TestConstruction:
         m = Matroid.uniform(3, 5)
         atom = next(f for f in m.flats() if len(f) == 1)
         c, relabel = m.contract(atom)
-        assert c.tag == ("uniform", 2, 4)
         assert c.rank == 2 and c.n == 4
 
 
@@ -402,12 +401,72 @@ def _count_builds(monkeypatch):
     count = [0]
     init = matroid_ih.MatroidIHSheaf.__init__
 
-    def counted(self, *args):
+    def counted(self, *args, **kwargs):
         count[0] += 1
-        init(self, *args)
+        init(self, *args, **kwargs)
 
     monkeypatch.setattr(matroid_ih.MatroidIHSheaf, "__init__", counted)
     return count
+
+
+def _rank5_inputs():
+    """Rank-5 matroids with a rank-2 flat F whose stalk, the KL polynomial
+    of [F, E], is not 1: the triangles of the prism graph, with K4 above
+    them, and the two coloops of U(3,4) + U(2,2), with U(3,4) above."""
+    prism = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    return {
+        "prism": lambda: _graphic_from_bases(6, prism),
+        "U(3,4)+U(2,2)": lambda: Matroid.from_bases(
+            6, [list(b) + [4, 5] for b in combinations(range(4), 3)]
+        ),
+    }
+
+
+def _unshared(m, field, monkeypatch):
+    """(stalks by flat, Z-polynomial) of a build in which every search
+    gives up at once and the memo is cleared before each contraction, so
+    no two intervals share a sheaf."""
+    with monkeypatch.context() as patch:
+        contract = Matroid.contract
+
+        def fresh_contract(self, f):
+            matroid_ih._MEMO.clear()
+            return contract(self, f)
+
+        patch.setattr(Matroid, "contract", fresh_contract)
+        patch.setattr(matroid_ih, "_SEARCH_STEPS", 0)
+        matroid_ih._MEMO.clear()
+        sheaf = matroid_sheaf(m, field)
+        return _stalks_by_flat(sheaf), sheaf.z_polynomial()
+
+
+def _moved(want, perm):
+    """want for the copy of the matroid with element e presented as perm[e]."""
+    stalks, z = want
+    return {frozenset(perm[e] for e in f): poly for f, poly in stalks.items()}, z
+
+
+def _sections_kept_by_automorphisms(sheaf, d):
+    """Whether every automorphism of the sheaf's lattice, permuting the
+    full coordinates (flat, generator) at degree d, maps the global
+    sections onto themselves."""
+    shape = FlatMasks.of(sheaf.lattice)
+    layout = sheaf.full_layout(d)
+    pos = {key: c for c, key in enumerate(layout)}
+    space = sheaf.full_basis(d)
+    for sigma in permutations(range(shape.n)):
+        images = [_image(mask, sigma) for mask in shape.masks]
+        if not all(m in shape.index for m in images):
+            continue
+        moved = space.copy()
+        for v in space.basis():
+            w = [0] * len(layout)
+            for c, (j, gi) in enumerate(layout):
+                w[pos[(shape.index[images[j]], gi)]] = int(v[c])
+            moved.add(w)
+        if moved.dim != space.dim:
+            return False
+    return True
 
 
 class TestIsomorphismMemo:
@@ -415,39 +474,69 @@ class TestIsomorphismMemo:
     @pytest.mark.parametrize("p", [0, 2, 3])
     def test_shared_sheaves_match_unshared_builds(self, name, p, monkeypatch):
         """Stalks at every flat and the Z-polynomial, for the matroid and
-        a relabelling of it, with the memo on, against a build in which
-        every search gives up at once and the memo is cleared before each
-        contraction, so no two intervals share a sheaf."""
+        a relabelling of it, with the memo on, against an unshared build."""
         field = GF(p) if p else QQ
         m = _memo_inputs()[name]()
         relabelled, perm = _relabelled(m, seed=sum(map(ord, name)))
-
-        with monkeypatch.context() as patch:
-            contract = Matroid.contract
-
-            def fresh_contract(self, f):
-                matroid_ih._MEMO.clear()
-                return contract(self, f)
-
-            patch.setattr(Matroid, "contract", fresh_contract)
-            patch.setattr(matroid_ih, "_SEARCH_STEPS", 0)
-            matroid_ih._MEMO.clear()
-            unshared = matroid_sheaf(m, field)
-            want = _stalks_by_flat(unshared), unshared.z_polynomial()
+        want = _unshared(m, field, monkeypatch)
 
         matroid_ih._MEMO.clear()
         shared = matroid_sheaf(m, field)
         assert (_stalks_by_flat(shared), shared.z_polynomial()) == want
         # the relabelled copy finds its intervals among the stored sheaves
         other = matroid_sheaf(relabelled, field)
-        moved = {
-            frozenset(perm[e] for e in f): poly for f, poly in want[0].items()
-        }
-        assert (_stalks_by_flat(other), other.z_polynomial()) == (moved, want[1])
+        assert (_stalks_by_flat(other), other.z_polynomial()) == _moved(want, perm)
         if not p:
             L = m.lattice()
             table = solve_kls(matroid_kernel(L))
             assert all(shared.stalk_poincare(j) == table[(j, L.top())] for j in L.elements())
+
+    @pytest.mark.parametrize(
+        "name, p",
+        [("prism", 0), ("prism", 2), ("U(3,4)+U(2,2)", 0), ("U(3,4)+U(2,2)", 2), ("U(3,4)+U(2,2)", 3)],
+    )
+    def test_stalk_bases_agree_across_chains(self, name, p, monkeypatch):
+        """Rank-5 matroids with a rank-2 flat whose stalk is nontrivial,
+        as given and relabelled, against an unshared build.  The sheaf of
+        the contraction at an atom is built first as a root, which may
+        read its own children through any isomorphism and so must not be
+        read as a child of the rank-5 sheaf."""
+        field = GF(p) if p else QQ
+        m = _rank5_inputs()[name]()
+        want = _unshared(m, field, monkeypatch)
+        for seed in (None, 1):
+            other, perm = (m, range(m.n)) if seed is None else _relabelled(m, seed)
+            matroid_ih._MEMO.clear()
+            matroid_sheaf(other.contract(other.flats()[1])[0], field)
+            got = matroid_sheaf(other, field)
+            assert (_stalks_by_flat(got), got.z_polynomial()) == _moved(want, perm), seed
+            assert got.nested
+
+    @pytest.mark.parametrize("p", [0, 2, 3])
+    def test_automorphisms_fix_the_sections_of_settled_sheaves_only(self, p):
+        """Permuting coordinates by a lattice automorphism keeps the global
+        sections of a settled sheaf, which is what lets any isomorphism
+        read one; for the lattice of U(3,4) it does not in degree 1."""
+        field = GF(p) if p else QQ
+        matroid_ih._MEMO.clear()
+        for m in (Matroid.boolean(3), Matroid.uniform(2, 3), Matroid.uniform(2, 4)):
+            s = matroid_sheaf(m, field)
+            assert s.settled
+            assert all(_sections_kept_by_automorphisms(s, d) for d in range(m.rank + 1))
+        u34 = matroid_sheaf(Matroid.uniform(3, 4), field)
+        assert not u34.settled
+        assert not _sections_kept_by_automorphisms(u34, 1)
+
+    def test_root_reads_children_through_any_isomorphism_only_when_safe(self):
+        """The flats of rank >= 2 of K5 are settled, so its root reads the
+        partition lattice of 4 (KL polynomial 1 + t) through arbitrary
+        isomorphisms and is not nested; the prism graph has K4 above its
+        triangles, so it reads those children naturally."""
+        matroid_ih._MEMO.clear()
+        k5 = matroid_sheaf(_memo_inputs()["K5"]())
+        assert not k5.nested
+        assert all(child.nested for _, child, _ in k5.children)
+        assert matroid_sheaf(_rank5_inputs()["prism"]()).nested
 
     def test_isomorphism_maps_flats_to_an_isomorphic_lattice(self):
         for seed, (name, make) in enumerate(sorted(_memo_inputs().items())):
@@ -464,7 +553,7 @@ class TestIsomorphismMemo:
                 for j in A.elements():
                     assert A.leq(i, j) == B.leq(fmap[i], fmap[j]), (name, i, j)
 
-    def test_search_rejects_non_isomorphic_lattices_with_equal_invariants(self):
+    def test_search_rejects_non_isomorphic_lattices_with_equal_invariants(self, monkeypatch):
         """Two rank-3 matroids on 8 points with four 3-point lines each: a
         cycle of lines, and a triangle of lines with a fourth line through
         a point of it.  Every point lies on the same number of 3-point
@@ -481,10 +570,11 @@ class TestIsomorphismMemo:
             {frozenset(p[i] for i in line) for line in lines} == target
             for p in permutations(range(8))
         )
-        assert find_isomorphism(a, b, budget=10**9) is None
+        monkeypatch.setattr(matroid_ih, "_SEARCH_STEPS", 10**9)
+        assert find_isomorphism(a, b) is None
         assert find_isomorphism(a, a) is not None
 
-    def test_full_assignments_are_checked_flat_by_flat(self):
+    def test_full_assignments_are_checked_flat_by_flat(self, monkeypatch):
         """Two families of atom sets with every pair of six atoms and four
         triples, each atom in two triples.  All lines have two atoms, so
         the line pruning passes every bijection; only the check that
@@ -503,7 +593,8 @@ class TestIsomorphismMemo:
             == {frozenset(t) for t in shared_points}
             for p in permutations(range(6))
         )
-        assert find_isomorphism(a, b, budget=10**9) is None
+        monkeypatch.setattr(matroid_ih, "_SEARCH_STEPS", 10**9)
+        assert find_isomorphism(a, b) is None
         assert find_isomorphism(a, family(shared_pairs[::-1])) is not None
 
     def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
@@ -524,7 +615,8 @@ class TestIsomorphismMemo:
         other, _ = _relabelled(k5, seed=5)
         src, dst = FlatMasks.of(k5.lattice()), FlatMasks.of(other.lattice())
         assert find_isomorphism(src, dst) is not None
-        assert find_isomorphism(src, dst, budget=3) is None
+        monkeypatch.setattr(matroid_ih, "_SEARCH_STEPS", 3)
+        assert find_isomorphism(src, dst) is None
 
         L = k5.lattice()
         table = solve_kls(matroid_kernel(L))
