@@ -648,6 +648,12 @@ class TestIsomorphismMemo:
         assert matroid_sheaf(Matroid.from_bases(m.n, bases_of(m))) is s
         other, _ = _relabelled(m, seed=1)
         assert matroid_sheaf(other) is not s
+        # parallel classes {0, 1} and {1, 2}: equal atom masks, other flats
+        a = Matroid.from_bases(3, [[0, 2], [1, 2]])
+        b = Matroid.from_bases(3, [[0, 1], [0, 2]])
+        assert FlatMasks.of(a.lattice()).masks == FlatMasks.of(b.lattice()).masks
+        assert matroid_sheaf(a).flats == a.flats()
+        assert matroid_sheaf(b).flats == b.flats() != a.flats()
 
 
 class TestClosureFromBases:
