@@ -56,8 +56,10 @@ is the tuple of its components in the free stalk modules M_F, F in Q, and
   tuples whose restriction to [A, E] lies in the contraction's section
   space, for every atom A;
 * the boundary module at the bottom is the quotient of those sections by
-  the images of y_G for every flat G > bottom, where y_G scales the
-  M_H-component by h^{rk G} when G <= H and kills it otherwise;
+  the images N of y_G for every flat G > bottom, where y_G scales the
+  M_H-component by h^{rk G} when G <= H and kills it otherwise.  N is
+  generated over k[h] by the y-images of the bottom stalk's lifts alone,
+  since y_G y_H is a power of h times y_{G v H};
 * the bottom stalk is the minimal free cover of that quotient, and its
   reduced Poincare polynomial is the KL-polynomial; the reduced global
   sections give the Z-polynomial.
@@ -253,6 +255,7 @@ class MatroidIHSheaf:
         self.children = []
         self.stalk_shapes = [None] * len(self.flats)
         self._layouts = {}  # degree -> (proper layout, its positions)
+        self._shifts = {}  # (e, d) -> _shift(e, d)
         self._full_layouts = {}  # degree -> full layout, once the bottom stalk is fixed
         self.nested = True
         if self.rank == 0:
@@ -276,7 +279,6 @@ class MatroidIHSheaf:
 
         # per-degree data, extended on demand
         self._proper = []  # RowSpace of F(L - bottom) per degree
-        self._new_f = []  # basis vectors new in this degree
         self._nspace = []  # span of the y-action images per degree
         self._lifts = []  # (degree, vector) per bottom stalk generator
         self._bottom_gens = []
@@ -367,14 +369,16 @@ class MatroidIHSheaf:
             self._full_layouts[d] = out
         return out
 
-    @staticmethod
-    def _reindex(vec, old_layout, new_pos, field, scale=None):
-        out = [field.zero] * len(new_pos)
-        for c, key in enumerate(old_layout):
-            a = vec[c]
-            if not field.is_zero(a):
-                out[new_pos[key]] = a if scale is None else field.mul(a, scale)
-        return out
+    def _shift(self, e, d):
+        """Positions in proper_layout(d) of the coordinates of
+        proper_layout(e), e <= d: multiplication by h^(d-e), for _scatter."""
+        if (e, d) not in self._shifts:
+            pos = self._proper_coords(d)[1]
+            out = [pos[key] for key in self.proper_layout(e)]
+            if self.np_vectors:
+                out = self._np.array(out, dtype=self._np.intp)
+            self._shifts[e, d] = out
+        return self._shifts[e, d]
 
     def _scatter(self, vec, positions, size):
         """Place vec[i] at positions[i] in a fresh vector of the given
@@ -421,10 +425,6 @@ class MatroidIHSheaf:
         layout, pos = self._proper_coords(d)
         size = len(layout)
 
-        def shift_positions(src_layout):
-            out = [pos[key] for key in src_layout]
-            return self._np.array(out, dtype=self._np.intp) if self.np_vectors else out
-
         rows = []
         for a, child, cmap in self.children:
             child._ensure(d)
@@ -440,31 +440,21 @@ class MatroidIHSheaf:
             fspace.add(v)
         self._proper.append(fspace)
 
-        prev_shift = None
-        if d:
-            prev_shift = shift_positions(self.proper_layout(d - 1))
-
-        # vectors new in this degree (not shifts of degree d-1 sections)
-        shift_span = RowSpace(field, size)
-        if d:
-            for v in self._proper[d - 1].basis():
-                shift_span.add(self._scatter(v, prev_shift, size))
-        new = []
-        for v in fspace.basis():
-            if shift_span.add(v) is not None:
-                new.append(v)
-        self._new_f.append(new)
-
-        # span of the y-action images: N_d = h N_{d-1} + sum y_G (new F)
+        # span of the y-action images: N_d = h N_{d-1} + sum y_G (lifts of
+        # degree d - rk G).  y_G y_H = h^(rk G + rk H - rk(G v H)) y_{G v H},
+        # with exponent >= 0 since rank is semimodular, so y_G maps N into
+        # N; and F_e lies in h F_{e-1} + N_e + span(lifts of degree e), by
+        # the choice of lifts below.  So this is the y-span of every section.
         nspace = RowSpace(field, size)
         if d:
             for v in self._nspace[d - 1].basis():
-                nspace.add(self._scatter(v, prev_shift, size))
+                nspace.add(self._scatter(v, self._shift(d - 1, d), size))
         for g in range(1, len(self.flats)):
-            rg = self.lattice.rank[g]
-            if rg > d or not self._new_f[d - rg]:
+            e = d - self.lattice.rank[g]
+            lifts = [v for lift_deg, v in self._lifts if lift_deg == e]
+            if not lifts:
                 continue
-            src_layout = self.proper_layout(d - rg)
+            src_layout = self.proper_layout(e)
             src_positions = []
             dst_positions = []
             for c, (h, gi) in enumerate(src_layout):
@@ -474,7 +464,7 @@ class MatroidIHSheaf:
             if self.np_vectors:
                 src_positions = self._np.array(src_positions, dtype=self._np.intp)
                 dst_positions = self._np.array(dst_positions, dtype=self._np.intp)
-            for v in self._new_f[d - rg]:
+            for v in lifts:
                 nspace.add(
                     self._gather_scatter(v, src_positions, dst_positions, size)
                 )
@@ -484,7 +474,7 @@ class MatroidIHSheaf:
         big = nspace.copy()
         if d:
             for v in self._proper[d - 1].basis():
-                big.add(self._scatter(v, prev_shift, size))
+                big.add(self._scatter(v, self._shift(d - 1, d), size))
         for v in fspace.basis():
             if big.add(v) is not None:
                 if self.enforce and d >= self.rank:
@@ -494,7 +484,7 @@ class MatroidIHSheaf:
                         "boundary generator at the sweep margin; raise the bound"
                     )
                 self._bottom_gens.append(d)
-                self._lifts.append((d, list(v)))
+                self._lifts.append((d, v))
 
         n_bottom = sum(1 for g in self._bottom_gens if g <= d)
         self._sect_dims.append(n_bottom + nspace.dim)
@@ -534,8 +524,7 @@ class MatroidIHSheaf:
                 space.add([field.from_int(1)])
                 self._full[d] = space
                 return space
-            proper_layout, proper_pos = self._proper_coords(d)
-            size = len(proper_layout)
+            size = len(self.proper_layout(d))
             fbasis = self._proper[d].basis()
             lifts = [
                 self._lifts[gi] for gi, gd in enumerate(self.stalk_shapes[0]) if gd <= d
@@ -546,9 +535,7 @@ class MatroidIHSheaf:
             nred = self._nspace[d]
             residuals = [nred.reduce(v)[0] for v in fbasis]
             for lift_deg, lift_vec in lifts:
-                shifted = self._reindex(
-                    lift_vec, self.proper_layout(lift_deg), proper_pos, field
-                )
+                shifted = self._scatter(lift_vec, self._shift(lift_deg, d), size)
                 res, _ = nred.reduce(shifted)
                 residuals.append([field.neg(x) for x in res])
             rows = [

@@ -27,7 +27,9 @@ from klsc.matroid_ih import (
 from klsc.poly import UniPoly
 from klsc.validate import matroid_corpus
 
+from functools import lru_cache
 from itertools import combinations, permutations
+from math import comb
 
 
 class TestConstruction:
@@ -266,9 +268,22 @@ class TestSheaf:
         assert stalks == {j: table[(j, L.top())] for j in L.elements()}
 
     def test_generic_engine_agrees_with_fast_path(self):
-        for m in (Matroid.uniform(1, 2), Matroid.uniform(2, 3), Matroid.uniform(3, 4), Matroid.boolean(3)):
-            lat, gsheaf = build_matroid_sheaf_generic(m)
-            fast = matroid_sheaf(m)
+        """The generic engine's MatroidLocalModel takes the y-images of
+        every section, the fast path only those of the bottom-stalk lifts;
+        the Fano plane's bottom stalk over GF(2) has generators in degrees
+        1 and 2."""
+        cases = [
+            (Matroid.uniform(1, 2), QQ),
+            (Matroid.uniform(2, 3), QQ),
+            (Matroid.uniform(3, 4), QQ),
+            (Matroid.boolean(3), QQ),
+            (Matroid.uniform(4, 5), QQ),
+            (Matroid.fano(), GF(2)),
+            (Matroid.uniform(3, 5), GF(3)),
+        ]
+        for m, field in cases:
+            lat, gsheaf = build_matroid_sheaf_generic(m, field)
+            fast = matroid_sheaf(m, field)
             for j in lat.elements():
                 assert tuple(gsheaf.stalks[j]) == fast.stalk_shapes[j]
             from klsc.poset import UpperSet
@@ -718,3 +733,109 @@ class TestFullBasis:
                 want = [list(map(int, v)) for v in _full_basis_by_loops(s, d).basis()]
                 got = [list(map(int, v)) for v in s.full_basis(d).basis()]
                 assert got == want, (m, p, d)
+
+
+def _y_span_of_every_section(sheaf):
+    """N_d for every d <= rank + 1, fed by every section instead of the
+    bottom-stalk lifts: h N_{d-1} + sum_G y_G(F_{d - rk G}), each image
+    written entry by entry with the field's scalar operations.  y_G keeps
+    the components at the flats above G and raises their degree by rk G."""
+    field, L = sheaf.field, sheaf.lattice
+    spans = []
+    for d in range(sheaf.rank + 2):
+        pos = {key: c for c, key in enumerate(sheaf.proper_layout(d))}
+        # (source degree, flat whose up-set y keeps, vectors)
+        sources = [(d - 1, sheaf.bottom, spans[d - 1].basis())] if d else []
+        for g in range(1, len(sheaf.flats)):
+            if L.rank[g] <= d:
+                sources.append((d - L.rank[g], g, sheaf._proper[d - L.rank[g]].basis()))
+        span = RowSpace(field, len(pos))
+        for e, g, vectors in sources:
+            kept = [
+                (c, pos[(j, gi)])
+                for c, (j, gi) in enumerate(sheaf.proper_layout(e))
+                if L.leq(g, j)
+            ]
+            for v in vectors:
+                if span.dim == len(pos):
+                    break  # nothing more to span
+                v = list(map(int, v))
+                w = [field.zero] * len(pos)
+                for c, t in kept:
+                    if v[c]:
+                        w[t] = field.from_int(v[c])
+                span.add(w)
+        spans.append(span)
+    return spans
+
+
+class TestYSpan:
+    @pytest.mark.parametrize("name", sorted(_memo_inputs() | _rank5_inputs()))
+    @pytest.mark.parametrize("p", [0, 2, 3])
+    def test_y_span_of_the_lifts_is_the_y_span_of_every_section(self, name, p):
+        """The sweep feeds N only the y-images of the bottom-stalk lifts;
+        for the input and every sheaf built on the way, N_d is the y-span
+        of all sections in every degree d <= rank + 1."""
+        field = GF(p) if p else QQ
+        matroid_ih._MEMO.clear()
+        matroid_sheaf((_memo_inputs() | _rank5_inputs())[name](), field)
+        sheaves = [s for bucket in matroid_ih._MEMO.values() for _, s, _ in bucket]
+        for s in sheaves:
+            if s.rank == 0:
+                continue
+            want = _y_span_of_every_section(s)
+            for d in range(s.rank + 2):
+                got = [list(map(int, v)) for v in s._nspace[d].basis()]
+                assert got == [list(map(int, v)) for v in want[d].basis()], (s.matroid, d)
+
+
+# -- a closed-form anchor for uniform matroids, with no lattice ---------------------
+
+
+def _times_t_minus_1(coeffs):
+    return [(coeffs[i - 1] if i else 0) - (coeffs[i] if i < len(coeffs) else 0)
+            for i in range(len(coeffs) + 1)]
+
+
+@lru_cache(maxsize=None)
+def _uniform_kl(k, n):
+    """Coefficients of P_{U(k,n)}, read off t^k P(1/t) - P(t) =
+    sum_{1<=r<k} C(n,r) (t-1)^r P_{U(k-r,n-r)}(t) + chi_{U(k,n)}(t): the
+    flats below E are the r-subsets with r < k, each with a Boolean
+    localization and the contraction U(k-r, n-r), and chi_{U(k,n)}(t) =
+    sum_{i<k} (-1)^i C(n,i) (t^(k-i) - 1).  P has degree below k/2, so its
+    coefficients are minus those of the right side below k/2."""
+    rhs = [0] * (k + 1)
+    for i in range(k):
+        rhs[k - i] += (-1) ** i * comb(n, i)
+        rhs[0] -= (-1) ** i * comb(n, i)
+    for r in range(1, k):
+        term = list(_uniform_kl(k - r, n - r))
+        for _ in range(r):
+            term = _times_t_minus_1(term)
+        for i, c in enumerate(term):
+            rhs[i] += comb(n, r) * c
+    return tuple(-c for c in rhs[: (k + 1) // 2])
+
+
+class TestUniformAnchor:
+    def test_fast_path(self):
+        for n in range(1, 7):
+            for k in range(1, n + 1):
+                assert kl_polynomial(Matroid.uniform(k, n)) == UniPoly(_uniform_kl(k, n)), (k, n)
+
+    def test_recursion_route(self):
+        for n in range(1, 8):
+            for k in range(1, n + 1):
+                L = Matroid.uniform(k, n).lattice()
+                table = solve_kls(matroid_kernel(L))
+                assert table[(L.bottom(), L.top())] == UniPoly(_uniform_kl(k, n)), (k, n)
+
+    def test_elias_proudfoot_wakefield(self):
+        """P_{U(d,d+1)} has t^i-coefficient C(d-i-1, i) C(d+1, i) / (i+1)
+        (Elias, Proudfoot and Wakefield, arXiv:1412.7408)."""
+        for d in range(1, 10):
+            want = [comb(d - i - 1, i) * comb(d + 1, i) // (i + 1) for i in range((d + 1) // 2)]
+            assert UniPoly(_uniform_kl(d, d + 1)) == UniPoly(want), d
+        assert _uniform_kl(7, 8) == (1, 20, 56, 14)
+        assert _uniform_kl(9, 10) == (1, 35, 225, 300, 42)
