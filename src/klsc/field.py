@@ -30,7 +30,7 @@ try:
     from gmpy2 import mpq as _mpq
 
     _HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is an optional extra (klsc[gmpy2])
     from fractions import Fraction as _mpq
 
     _HAVE_GMPY2 = False

@@ -64,6 +64,21 @@ is the tuple of its components in the free stalk modules M_F, F in Q, and
   reduced Poincare polynomial is the KL-polynomial; the reduced global
   sections give the Z-polynomial.
 
+Two spaces are read off N and the lifts without a further solve:
+
+* the minimal generators in degree d span F_d modulo N_d + h F_{d-1},
+  and N_d + h F_{d-1} = N_d + sum over e < d of h^(d-e) span(lifts of
+  degree e).  By induction on e: F_e lies in h F_{e-1} + N_e +
+  span(lifts of degree e), since that is how the lifts are picked, and
+  h N_{e-1} lies in N_e;
+* a global section in degree d is a pair (m, s) with s in F_d and
+  s - sum_i m_i h^(d - deg i) lift_i in N_d.  N_d lies in F_d and h F in
+  F, so these pairs are spanned by (0, n), n in N_d, and
+  (e_i, h^(d - deg i) lift_i).
+
+Both take N_d + h F_{d-1} to lie in F_d; the sweep checks that in every
+degree and raises TruncationBoundError otherwise.
+
 Over GF(p) the same recursion runs unchanged except that boundary
 generators at or above half-degree rk(E) - rk(F) are retained rather than
 rejected; they are what make the mod-p polynomials differ.
@@ -71,7 +86,7 @@ rejected; they are what make the mod-p polynomials differ.
 
 from __future__ import annotations
 
-from klsc.errors import DegreeBoundError, KlscError, TruncationBoundError
+from klsc.errors import DegreeBoundError, TruncationBoundError
 from klsc.field import QQ
 from klsc.graded import FreeModuleShape, GradedModule
 from klsc.linalg import RowSpace, kernel_basis, load_numpy, matvec
@@ -256,7 +271,7 @@ class MatroidIHSheaf:
         self.stalk_shapes = [None] * len(self.flats)
         self._layouts = {}  # degree -> (proper layout, its positions)
         self._shifts = {}  # (e, d) -> _shift(e, d)
-        self._full_layouts = {}  # degree -> full layout, once the bottom stalk is fixed
+        self._full_layouts = {}  # degree -> full_layout(d)
         self.nested = True
         if self.rank == 0:
             self.stalk_shapes[0] = (0,)
@@ -355,19 +370,13 @@ class MatroidIHSheaf:
 
     def full_layout(self, d):
         """The bottom stalk's generators of degree <= d, then
-        proper_layout(d); cached only once __init__ has fixed the bottom
+        proper_layout(d).  Only read once __init__ has fixed the bottom
         stalk."""
-        if d in self._full_layouts:
-            return self._full_layouts[d]
-        out = [
-            (0, gi)
-            for gi, gd in enumerate(self.stalk_shapes[0] or ())
-            if gd <= d
-        ]
-        out += self.proper_layout(d)
-        if self.stalk_shapes[self.bottom] is not None:
-            self._full_layouts[d] = out
-        return out
+        if d not in self._full_layouts:
+            self._full_layouts[d] = [
+                (0, gi) for gi, gd in enumerate(self.stalk_shapes[0]) if gd <= d
+            ] + self.proper_layout(d)
+        return self._full_layouts[d]
 
     def _shift(self, e, d):
         """Positions in proper_layout(d) of the coordinates of
@@ -392,6 +401,13 @@ class MatroidIHSheaf:
             if a:
                 out[p] = a
         return out
+
+    def _stack(self, head, vec):
+        """The full-layout vector with bottom stalk block head (a list)
+        and proper block vec."""
+        if self.np_vectors:
+            return self._np.concatenate((self._np.array(head, dtype=self._np.int64), vec))
+        return head + vec
 
     def _gather_scatter(self, vec, src_positions, dst_positions, size):
         """out[dst[i]] = vec[src[i]], zero elsewhere."""
@@ -470,11 +486,14 @@ class MatroidIHSheaf:
                 )
         self._nspace.append(nspace)
 
-        # minimal generators of the boundary quotient in this degree
+        # minimal generators of the boundary quotient in this degree: F_d
+        # modulo N_d + h F_{d-1} = N_d + sum_{e<d} h^(d-e) span(lifts of
+        # degree e), by induction on e: F_e lies in h F_{e-1} + N_e +
+        # span(lifts of degree e) by the choice of lifts below, and h N_{e-1}
+        # lies in N_e.  Once F_d is added, big must be no larger than F_d.
         big = nspace.copy()
-        if d:
-            for v in self._proper[d - 1].basis():
-                big.add(self._scatter(v, self._shift(d - 1, d), size))
+        for e, v in self._lifts:
+            big.add(self._scatter(v, self._shift(e, d), size))
         for v in fspace.basis():
             if big.add(v) is not None:
                 if self.enforce and d >= self.rank:
@@ -485,6 +504,8 @@ class MatroidIHSheaf:
                     )
                 self._bottom_gens.append(d)
                 self._lifts.append((d, v))
+        if big.dim != fspace.dim:
+            raise TruncationBoundError("N_d + h F_{d-1} is not inside the sections F_d")
 
         n_bottom = sum(1 for g in self._bottom_gens if g <= d)
         self._sect_dims.append(n_bottom + nspace.dim)
@@ -515,7 +536,9 @@ class MatroidIHSheaf:
 
     def full_basis(self, d):
         """Echelon basis of the global sections at degree d, in full
-        localization coordinates (bottom stalk block included)."""
+        localization coordinates (bottom stalk block included): the span of
+        (0, n) for n in N_d and of (e_i, h^(d - deg i) lift_i) for each
+        bottom stalk generator i of degree <= d."""
         self._ensure(d)
         if d not in self._full:
             field = self.field
@@ -525,53 +548,16 @@ class MatroidIHSheaf:
                 self._full[d] = space
                 return space
             size = len(self.proper_layout(d))
-            fbasis = self._proper[d].basis()
-            lifts = [
-                self._lifts[gi] for gi, gd in enumerate(self.stalk_shapes[0]) if gd <= d
-            ]
-            # unknowns: coefficients over fbasis, then bottom-stalk coords
-            nf = len(fbasis)
-            nm = len(lifts)
-            nred = self._nspace[d]
-            residuals = [nred.reduce(v)[0] for v in fbasis]
-            for lift_deg, lift_vec in lifts:
-                shifted = self._scatter(lift_vec, self._shift(lift_deg, d), size)
-                res, _ = nred.reduce(shifted)
-                residuals.append([field.neg(x) for x in res])
-            rows = [
-                [residuals[j][c] for j in range(nf + nm)]
-                for c in range(size)
-            ]
-            sols = kernel_basis(rows, nf + nm, field)
-            # a section's full coordinates: its bottom-stalk coords, then
-            # the combination of fbasis, in the order of full_layout(d)
+            nm = sum(1 for gd in self.stalk_shapes[0] if gd <= d)
             space = RowSpace(field, nm + size)
-            if self.np_vectors:
-                np, p = self._np, field.p
-                if nf * (p - 1) ** 2 >= 2**63:
-                    raise KlscError(
-                        f"GF({p}) combination of {nf} vectors would overflow int64"
-                    )
-                if sols:
-                    sol = np.array(sols, dtype=np.int64)
-                    basis = np.array(fbasis, dtype=np.int64).reshape(nf, size)
-                    # entries below nf (p-1)^2; RowSpace.add takes them mod p
-                    proper = sol[:, :nf] @ basis
-                    for v in np.concatenate((sol[:, nf:], proper), axis=1):
-                        space.add(v)
-            else:
-                supports = [[(c, x) for c, x in enumerate(v) if x] for v in fbasis]
-                for sol in sols:
-                    vec = list(sol[nf:]) + [0] * size
-                    for a, support in zip(sol, supports):
-                        if a:
-                            for c, x in support:
-                                vec[nm + c] += a * x
-                    space.add(vec)
-            if space.dim != self._sect_dims[d]:
-                raise TruncationBoundError(
-                    "global section basis dimension mismatch"
-                )
+            head = [0] * nm
+            for v in self._nspace[d].basis():
+                space.add(self._stack(head, v))
+            for i, (lift_deg, v) in enumerate(self._lifts[:nm]):
+                unit = head.copy()
+                unit[i] = 1
+                shifted = self._scatter(v, self._shift(lift_deg, d), size)
+                space.add(self._stack(unit, shifted))
             self._full[d] = space
         return self._full[d]
 

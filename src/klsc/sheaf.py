@@ -248,7 +248,6 @@ def _attach(sheaf: PosetSheaf, x, top_rank, enforce):
     sheaf.stalks[x] = degrees
 
     nx = model.nvars(x)
-    x_first = [x] + elems
     spaces = []
     psi = {}
     for d in range(sheaf.bound + 1):
@@ -269,33 +268,28 @@ def _attach(sheaf: PosetSheaf, x, top_rank, enforce):
         # sections over P_x: pairs (s, m) with res(s) = psi(m)
         fbasis = fspaces[d].basis()
         amb = bmod.ambient_dims[d]
-        nunk = len(fbasis) + len(cols)
-        rows = [[field.zero] * nunk for _ in range(amb)]
+        nf, nx_block = len(fbasis), len(cols)
+        rows = [[field.zero] * (nf + nx_block) for _ in range(amb)]
         for j, s in enumerate(fbasis):
             rv = res(d, s)
             for r in range(amb):
                 rows[r][j] = rv[r]
         for j, mv in enumerate(mvecs):
             for r in range(amb):
-                rows[r][len(fbasis) + j] = field.neg(mv[r])
-        sols = kernel_basis(rows, nunk, field)
-        layout = sheaf.layout(x_first, d)
-        pos = {key: c for c, key in enumerate(layout)}
-        space = RowSpace(field, len(layout))
-        open_layout = sheaf.layout(elems, d)
-        for sol in sols:
-            vec = [field.zero] * len(layout)
-            for j, s in enumerate(fbasis):
-                c = sol[j]
-                if field.is_zero(c):
-                    continue
-                for cc, key in enumerate(open_layout):
-                    if not field.is_zero(s[cc]):
-                        vec[pos[key]] = field.add(vec[pos[key]], field.mul(c, s[cc]))
-            for j, (gi, m) in enumerate(cols):
-                c = sol[len(fbasis) + j]
+                rows[r][nf + j] = field.neg(mv[r])
+        # a section's coordinates over P_x: layout([x] + elems, d) is the x
+        # block, in the order of cols, followed by layout(elems, d)
+        supports = [
+            [(nx_block + c, a) for c, a in enumerate(s) if not field.is_zero(a)]
+            for s in fbasis
+        ]
+        space = RowSpace(field, nx_block + len(sheaf.layout(elems, d)))
+        for sol in kernel_basis(rows, nf + nx_block, field):
+            vec = list(sol[nf:]) + [field.zero] * (space.ncols - nx_block)
+            for c, support in zip(sol, supports):
                 if not field.is_zero(c):
-                    vec[pos[(x, gi, m)]] = c
+                    for k, a in support:
+                        vec[k] = field.add(vec[k], field.mul(c, a))
             space.add(vec)
         spaces.append(space)
     sheaf.spaces[x] = spaces

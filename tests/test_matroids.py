@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from klsc import matroid_ih
-from klsc.errors import InvalidInputError
+from klsc.errors import InvalidInputError, TruncationBoundError
 from klsc.field import GF, QQ
 from klsc.graded import FreeModuleShape
 from klsc.kls import matroid_kernel, monotonicity_check, solve_kls, z_polynomial
@@ -691,23 +691,22 @@ class TestClosureFromBases:
 
 
 def _full_basis_by_loops(sheaf, d):
-    """The global sections at degree d, combined entry by entry with the
-    field's scalar operations: the reference for the array/sparse
-    combination in MatroidIHSheaf.full_basis."""
+    """The global sections at degree d, solved for as the pairs (m, s), s in
+    F_d, whose residuals modulo N_d agree, and combined entry by entry with
+    the field's scalar operations: an independent reference for
+    MatroidIHSheaf.full_basis, which spans them by N_d and the lifts.  It
+    reads _proper[d], so the sweep must have reached degree d."""
     field = sheaf.field
     layout = sheaf.full_layout(d)
     pos = {key: c for c, key in enumerate(layout)}
     proper_layout = sheaf.proper_layout(d)
-    proper_pos = {key: c for c, key in enumerate(proper_layout)}
     fbasis = sheaf._proper[d].basis()
     active = [gi for gi, gd in enumerate(sheaf.stalk_shapes[0]) if gd <= d]
     nred = sheaf._nspace[d]
     residuals = [nred.reduce(v)[0] for v in fbasis]
     for gi in active:
         lift_deg, lift_vec = sheaf._lifts[gi]
-        shifted = [field.zero] * len(proper_layout)
-        for c, key in enumerate(sheaf.proper_layout(lift_deg)):
-            shifted[proper_pos[key]] = lift_vec[c]
+        (shifted,) = _raised(sheaf, [lift_vec], lift_deg, d, sheaf.bottom)
         residuals.append([field.neg(x) for x in nred.reduce(shifted)[0]])
     rows = [[r[c] for r in residuals] for c in range(len(proper_layout))]
     space = RowSpace(field, len(layout))
@@ -725,48 +724,62 @@ def _full_basis_by_loops(sheaf, d):
 class TestFullBasis:
     @pytest.mark.parametrize("p", [0, 2, 3, 65521])
     def test_combination_matches_scalar_loops(self, p):
+        """Parents read a child's annihilator up to the child's rank + 2,
+        so every such degree is checked."""
         field = GF(p) if p else QQ
-        for m in (Matroid.fano(), Matroid.uniform(3, 5), _memo_inputs()["K4"]()):
+        inputs = (Matroid.fano(), Matroid.uniform(3, 5), Matroid.uniform(4, 5), _memo_inputs()["K4"]())
+        for m in inputs:
             matroid_ih._MEMO.clear()
             s = matroid_sheaf(m, field)
-            for d in range(m.rank + 1):
-                want = [list(map(int, v)) for v in _full_basis_by_loops(s, d).basis()]
+            for d in range(m.rank + 3):
                 got = [list(map(int, v)) for v in s.full_basis(d).basis()]
+                want = [list(map(int, v)) for v in _full_basis_by_loops(s, d).basis()]
                 assert got == want, (m, p, d)
+
+
+def _raised(sheaf, vectors, e, d, g):
+    """The y_g-style images of vectors in degree e: their components at
+    the flats above g, written into degree d entry by entry with the
+    field's scalar operations.  With g the bottom every component is kept,
+    which is multiplication by h^(d - e)."""
+    field, L = sheaf.field, sheaf.lattice
+    pos = {key: c for c, key in enumerate(sheaf.proper_layout(d))}
+    kept = [(c, pos[(j, gi)]) for c, (j, gi) in enumerate(sheaf.proper_layout(e)) if L.leq(g, j)]
+    for v in vectors:
+        v = list(map(int, v))
+        w = [field.zero] * len(pos)
+        for c, t in kept:
+            if v[c]:
+                w[t] = field.from_int(v[c])
+        yield w
 
 
 def _y_span_of_every_section(sheaf):
     """N_d for every d <= rank + 1, fed by every section instead of the
     bottom-stalk lifts: h N_{d-1} + sum_G y_G(F_{d - rk G}), each image
-    written entry by entry with the field's scalar operations.  y_G keeps
-    the components at the flats above G and raises their degree by rk G."""
-    field, L = sheaf.field, sheaf.lattice
+    written entry by entry by _raised.  y_G keeps the components at the
+    flats above G and raises their degree by rk G."""
+    L = sheaf.lattice
     spans = []
     for d in range(sheaf.rank + 2):
-        pos = {key: c for c, key in enumerate(sheaf.proper_layout(d))}
+        size = len(sheaf.proper_layout(d))
         # (source degree, flat whose up-set y keeps, vectors)
         sources = [(d - 1, sheaf.bottom, spans[d - 1].basis())] if d else []
         for g in range(1, len(sheaf.flats)):
             if L.rank[g] <= d:
                 sources.append((d - L.rank[g], g, sheaf._proper[d - L.rank[g]].basis()))
-        span = RowSpace(field, len(pos))
+        span = RowSpace(sheaf.field, size)
         for e, g, vectors in sources:
-            kept = [
-                (c, pos[(j, gi)])
-                for c, (j, gi) in enumerate(sheaf.proper_layout(e))
-                if L.leq(g, j)
-            ]
-            for v in vectors:
-                if span.dim == len(pos):
+            for w in _raised(sheaf, vectors, e, d, g):
+                if span.dim == size:
                     break  # nothing more to span
-                v = list(map(int, v))
-                w = [field.zero] * len(pos)
-                for c, t in kept:
-                    if v[c]:
-                        w[t] = field.from_int(v[c])
                 span.add(w)
         spans.append(span)
     return spans
+
+
+def _rref(space):
+    return [list(map(int, v)) for v in space.basis()]
 
 
 class TestYSpan:
@@ -775,7 +788,9 @@ class TestYSpan:
     def test_y_span_of_the_lifts_is_the_y_span_of_every_section(self, name, p):
         """The sweep feeds N only the y-images of the bottom-stalk lifts;
         for the input and every sheaf built on the way, N_d is the y-span
-        of all sections in every degree d <= rank + 1."""
+        of all sections in every degree d <= rank + 1.  And the sweep
+        reduces F_d modulo N_d plus the lower lifts shifted to degree d,
+        which must be N_d + h F_{d-1}."""
         field = GF(p) if p else QQ
         matroid_ih._MEMO.clear()
         matroid_sheaf((_memo_inputs() | _rank5_inputs())[name](), field)
@@ -785,8 +800,30 @@ class TestYSpan:
                 continue
             want = _y_span_of_every_section(s)
             for d in range(s.rank + 2):
-                got = [list(map(int, v)) for v in s._nspace[d].basis()]
-                assert got == [list(map(int, v)) for v in want[d].basis()], (s.matroid, d)
+                assert _rref(s._nspace[d]) == _rref(want[d]), (s.matroid, d)
+                with_h_f = want[d].copy()
+                with_lifts = want[d].copy()
+                if d:
+                    for w in _raised(s, s._proper[d - 1].basis(), d - 1, d, s.bottom):
+                        with_h_f.add(w)
+                for e, v in s._lifts:
+                    if e < d:
+                        with_lifts.add(*_raised(s, [v], e, d, s.bottom))
+                assert _rref(with_h_f) == _rref(with_lifts), (s.matroid, d)
+
+    def test_a_y_span_outside_the_sections_is_refused(self, monkeypatch):
+        """If y_G forgot the top flat's component, its images would leave
+        F; the sweep's check that N_d + h F_{d-1} lies in F_d refuses it."""
+        gather_scatter = matroid_ih.MatroidIHSheaf._gather_scatter
+
+        def drop_top(self, vec, src_positions, dst_positions, size):
+            return gather_scatter(self, vec, src_positions[:-1], dst_positions[:-1], size)
+
+        monkeypatch.setattr(matroid_ih.MatroidIHSheaf, "_gather_scatter", drop_top)
+        matroid_ih._MEMO.clear()
+        with pytest.raises(TruncationBoundError):
+            matroid_sheaf(Matroid.uniform(3, 4))
+        matroid_ih._MEMO.clear()
 
 
 # -- a closed-form anchor for uniform matroids, with no lattice ---------------------
