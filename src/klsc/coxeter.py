@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from klsc.errors import InvalidInputError
+from klsc.field import read_int
 from klsc.poset import RankedPoset
 
 GROUP_SIZE_CAP = 10_000
@@ -98,7 +99,7 @@ class CartanDatum:
     @staticmethod
     def from_matrix(rows) -> "CartanDatum":
         try:
-            m = [list(map(int, r)) for r in rows]
+            m = [list(map(read_int, r)) for r in rows]
         except (TypeError, ValueError) as exc:
             raise InvalidInputError(f"Cartan matrix must be rows of integers: {exc}") from exc
         n = len(m)
@@ -521,11 +522,13 @@ def group_from_json(data) -> CoxeterGroup:
 
 
 def element_from_json(group: CoxeterGroup, word):
-    """Accept a word as a list of 1-based generator indices."""
+    """Accept a word of 1-based generator indices: a list of integers or
+    of digit strings (as '--w 1,2,1' gives), or a string such as "121".
+    Floats and booleans are refused."""
     if word in ("e", [], ()):
         return group.identity
     try:
-        zero_based = [int(s) - 1 for s in word]
+        zero_based = [(int(s) if isinstance(s, str) else read_int(s)) - 1 for s in word]
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"bad word {word!r}") from exc
     if any(s < 0 for s in zero_based):

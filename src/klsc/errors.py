@@ -17,10 +17,6 @@ class NonEulerianError(KlscError):
     """A poset required to be Eulerian is not."""
 
 
-class NotLatticeError(KlscError):
-    """A poset required to be a lattice is not."""
-
-
 class NotGeometricError(KlscError):
     """A lattice required to be geometric (atomic and semimodular) is not."""
 

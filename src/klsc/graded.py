@@ -67,9 +67,6 @@ class FreeModuleShape:
     def union(self, other) -> "FreeModuleShape":
         return FreeModuleShape(tuple(self.degrees) + tuple(other.degrees))
 
-    def max_degree(self):
-        return max(self.degrees) if self.degrees else -1
-
     def free_dims(self, nvars, up_to):
         """Degreewise dimensions of the free module on these generators
         over a polynomial ring in nvars variables."""

@@ -64,7 +64,8 @@ is the tuple of its components in the free stalk modules M_F, F in Q, and
   reduced Poincare polynomial is the KL-polynomial; the reduced global
   sections give the Z-polynomial.
 
-Two spaces are read off N and the lifts without a further solve:
+The boundary quotient, the global sections and their annihilators are
+read off N and the lifts without a further solve:
 
 * the minimal generators in degree d span F_d modulo N_d + h F_{d-1},
   and N_d + h F_{d-1} = N_d + sum over e < d of h^(d-e) span(lifts of
@@ -74,9 +75,13 @@ Two spaces are read off N and the lifts without a further solve:
 * a global section in degree d is a pair (m, s) with s in F_d and
   s - sum_i m_i h^(d - deg i) lift_i in N_d.  N_d lies in F_d and h F in
   F, so these pairs are spanned by (0, n), n in N_d, and
-  (e_i, h^(d - deg i) lift_i).
+  (e_i, h^(d - deg i) lift_i);
+* so a functional (a, phi) on those pairs vanishes on the global
+  sections exactly when phi vanishes on N_d and a_i = -phi . h^(d - deg i)
+  lift_i.  A parent reads a child only through these annihilators, one
+  for each vector phi of the kernel of N_d.
 
-Both take N_d + h F_{d-1} to lie in F_d; the sweep checks that in every
+All three take N_d + h F_{d-1} to lie in F_d; the sweep checks that in every
 degree and raises TruncationBoundError otherwise.
 
 Over GF(p) the same recursion runs unchanged except that boundary
@@ -86,10 +91,12 @@ rejected; they are what make the mod-p polynomials differ.
 
 from __future__ import annotations
 
-from klsc.errors import DegreeBoundError, TruncationBoundError
+from operator import mul
+
+from klsc.errors import DegreeBoundError, InconsistentSystemError, TruncationBoundError
 from klsc.field import QQ
 from klsc.graded import FreeModuleShape, GradedModule
-from klsc.linalg import RowSpace, kernel_basis, load_numpy, matvec
+from klsc.linalg import RowSpace, kernel_basis, load_numpy, matvec, solve_linear
 from klsc.matroids import Matroid
 from klsc.poly import UniPoly
 from klsc.poset import RankedPoset
@@ -299,7 +306,6 @@ class MatroidIHSheaf:
         self._bottom_gens = []
         self._sect_dims = []
         self._z_gens = []
-        self._full = {}
         self._annihilators = {}
         self._max_degree = -1
 
@@ -408,6 +414,13 @@ class MatroidIHSheaf:
         if self.np_vectors:
             return self._np.concatenate((self._np.array(head, dtype=self._np.int64), vec))
         return head + vec
+
+    def _dot(self, u, v):
+        """The scalar product of two vectors of one layout, reduced mod p
+        over GF(p), where vectors are arrays with entries in [0, p)."""
+        if self.np_vectors:
+            return int(u @ v) % self.field.p
+        return sum(map(mul, u, v))
 
     def _gather_scatter(self, vec, src_positions, dst_positions, size):
         """out[dst[i]] = vec[src[i]], zero elsewhere."""
@@ -534,41 +547,25 @@ class MatroidIHSheaf:
         self._ensure(up_to)
         return list(self._sect_dims[: up_to + 1])
 
-    def full_basis(self, d):
-        """Echelon basis of the global sections at degree d, in full
-        localization coordinates (bottom stalk block included): the span of
-        (0, n) for n in N_d and of (e_i, h^(d - deg i) lift_i) for each
-        bottom stalk generator i of degree <= d."""
-        self._ensure(d)
-        if d not in self._full:
-            field = self.field
-            if self.rank == 0:
-                space = RowSpace(field, 1)
-                space.add([field.from_int(1)])
-                self._full[d] = space
-                return space
-            size = len(self.proper_layout(d))
-            nm = sum(1 for gd in self.stalk_shapes[0] if gd <= d)
-            space = RowSpace(field, nm + size)
-            head = [0] * nm
-            for v in self._nspace[d].basis():
-                space.add(self._stack(head, v))
-            for i, (lift_deg, v) in enumerate(self._lifts[:nm]):
-                unit = head.copy()
-                unit[i] = 1
-                shifted = self._scatter(v, self._shift(lift_deg, d), size)
-                space.add(self._stack(unit, shifted))
-            self._full[d] = space
-        return self._full[d]
-
     def annihilator(self, d):
         """Functionals on the full layout vanishing exactly on the global
-        sections at degree d."""
+        sections at degree d: -phi . h^(d - deg i) lift_i at each bottom
+        generator i of degree <= d, then phi, for each phi in the kernel of
+        N_d (module docstring).  Since the echelon form of the sections has
+        its free columns at N_d's, kernel_basis would give these vectors,
+        in this order.  A single flat's sections are its whole stalk."""
         if d not in self._annihilators:
-            space = self.full_basis(d)
-            self._annihilators[d] = kernel_basis(
-                space.basis(), space.ncols, self.field
-            )
+            self._ensure(d)
+            out = []
+            if self.rank:
+                size = len(self.proper_layout(d))
+                shifted = [
+                    self._scatter(v, self._shift(e, d), size) for e, v in self._lifts if e <= d
+                ]
+                for phi in kernel_basis(self._nspace[d].basis(), size, self.field):
+                    head = [self.field.neg(self._dot(phi, s)) for s in shifted]
+                    out.append(self._stack(head, phi))
+            self._annihilators[d] = out
         return self._annihilators[d]
 
 
@@ -656,8 +653,11 @@ class MatroidLocalModel:
                     nspace.add(y_image(v, d - shift, g))
             nspaces.append(nspace)
 
-        # quotient coordinates: representatives of F_d modulo the y-span
+        # quotient coordinates: representatives of F_d modulo the y-span.
+        # Together with the basis of N_d they are independent, the columns
+        # of the system that to_quotient_coords solves
         reps = []
+        columns = []
         for d in range(bound + 1):
             span = nspaces[d].copy()
             basis = []
@@ -665,20 +665,15 @@ class MatroidLocalModel:
                 if span.add(v) is not None:
                     basis.append(v)
             reps.append(basis)
+            known = nspaces[d].basis() + basis
+            columns.append([[v[c] for v in known] for c in range(len(layouts[d]))])
 
         def to_quotient_coords(vec, d):
-            tagged = RowSpace(field, len(layouts[d]), tagged=True)
-            for v in nspaces[d].basis():
-                tagged.add(v, {})
-            for j, v in enumerate(reps[d]):
-                tagged.add(v, {j: field.from_int(1)})
-            res, tag = tagged.reduce(vec)
-            if any(res):
-                raise TruncationBoundError("vector escapes the quotient basis")
-            out = [field.zero] * len(reps[d])
-            for j, c in tag.items():
-                out[j] = field.neg(c)
-            return out
+            try:
+                x = solve_linear(columns[d], vec, field)
+            except InconsistentSystemError as exc:
+                raise TruncationBoundError("vector escapes the quotient basis") from exc
+            return x[nspaces[d].dim :]
 
         ambient_dims = [len(reps[d]) for d in range(bound + 1)]
         bases = []

@@ -239,6 +239,16 @@ class TestCoxeterCommand:
         assert main(["coxeter", "kl", "--cartan", "5", "--w", "1"]) == 2
         assert "Cartan matrix" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cartan",
+        ["[[2,-1.5],[-1,2]]", "[[2,-1],[-1,2.0]]", "[[2,false],[false,2]]"],
+        ids=["float-entry", "float-diagonal", "boolean-entry"],
+    )
+    def test_non_integer_cartan_exits_2(self, capsys, cartan):
+        # int() used to truncate these to a valid Cartan matrix and exit 0
+        assert main(["coxeter", "kl", "--cartan", cartan, "--w", "1,2"]) == 2
+        assert "Cartan matrix" in capsys.readouterr().err
+
     def test_negative_degree_bound_exits_2(self, capsys):
         argv = ["coxeter", "kl", "--type", "A2", "--w", "1,2", "--degree-bound", "-1"]
         assert main(argv) == 2
@@ -296,6 +306,27 @@ class TestKlsCommand:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["checks"]["kernel_axioms"] is True
+
+    def test_coxeter_kernel_reads_a_digit_string_word(self, tmp_path, capsys):
+        path = write(tmp_path, "cox.json", {"type": "A2", "w": "121"})
+        assert main(["kls", "--kernel", "coxeter", "--input", path]) == 0
+        assert main(["coxeter", "kl", "--type", "A2", "--w", "121"]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"type": "A2", "w": [1.9, 2.2]},
+            {"type": "A2", "w": [True, 2]},
+            {"type": "A2", "w": [1, 2], "v": [1.0]},
+        ],
+        ids=["float-word", "boolean-word", "float-lower-word"],
+    )
+    def test_non_integer_coxeter_word_exits_2(self, tmp_path, capsys, data):
+        # int() used to truncate these to a valid word and exit 0
+        path = write(tmp_path, "cox.json", data)
+        assert main(["kls", "--kernel", "coxeter", "--input", path]) == 2
+        assert "bad word" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -468,7 +468,7 @@ def _sections_kept_by_automorphisms(sheaf, d):
     shape = FlatMasks.of(sheaf.lattice)
     layout = sheaf.full_layout(d)
     pos = {key: c for c, key in enumerate(layout)}
-    space = sheaf.full_basis(d)
+    space = _global_sections(sheaf, d)
     for sigma in permutations(range(shape.n)):
         images = [_image(mask, sigma) for mask in shape.masks]
         if not all(m in shape.index for m in images):
@@ -482,6 +482,25 @@ def _sections_kept_by_automorphisms(sheaf, d):
         if moved.dim != space.dim:
             return False
     return True
+
+
+def _global_sections(sheaf, d):
+    """The global sections at degree d in full coordinates, spanned by
+    (0, n), n in N_d, and (e_i, h^(d - deg i) lift_i) for each bottom
+    stalk generator i of degree <= d, each lift raised by _raised."""
+    sheaf._ensure(d)
+    layout = sheaf.full_layout(d)
+    nm = len(layout) - len(sheaf.proper_layout(d))  # bottom generators come first
+    space = RowSpace(sheaf.field, len(layout))
+    for v in sheaf._nspace[d].basis():
+        space.add([0] * nm + list(map(int, v)))
+    for gi in range(nm):
+        lift_deg, lift_vec = sheaf._lifts[gi]
+        (shifted,) = _raised(sheaf, [lift_vec], lift_deg, d, sheaf.bottom)
+        head = [0] * nm
+        head[gi] = 1
+        space.add(head + shifted)
+    return space
 
 
 class TestIsomorphismMemo:
@@ -694,10 +713,15 @@ def _full_basis_by_loops(sheaf, d):
     """The global sections at degree d, solved for as the pairs (m, s), s in
     F_d, whose residuals modulo N_d agree, and combined entry by entry with
     the field's scalar operations: an independent reference for
-    MatroidIHSheaf.full_basis, which spans them by N_d and the lifts.  It
-    reads _proper[d], so the sweep must have reached degree d."""
+    MatroidIHSheaf.annihilator, which reads their annihilators off N_d and
+    the lifts.  It reads _proper[d], so the sweep must have reached degree
+    d.  A single flat's sections are its whole stalk."""
     field = sheaf.field
     layout = sheaf.full_layout(d)
+    space = RowSpace(field, len(layout))
+    if not sheaf.rank:
+        space.add([field.from_int(1)])
+        return space
     pos = {key: c for c, key in enumerate(layout)}
     proper_layout = sheaf.proper_layout(d)
     fbasis = sheaf._proper[d].basis()
@@ -709,7 +733,6 @@ def _full_basis_by_loops(sheaf, d):
         (shifted,) = _raised(sheaf, [lift_vec], lift_deg, d, sheaf.bottom)
         residuals.append([field.neg(x) for x in nred.reduce(shifted)[0]])
     rows = [[r[c] for r in residuals] for c in range(len(proper_layout))]
-    space = RowSpace(field, len(layout))
     for sol in kernel_basis(rows, len(residuals), field):
         vec = [field.zero] * len(layout)
         for j, v in enumerate(fbasis):
@@ -724,17 +747,26 @@ def _full_basis_by_loops(sheaf, d):
 class TestFullBasis:
     @pytest.mark.parametrize("p", [0, 2, 3, 65521])
     def test_combination_matches_scalar_loops(self, p):
-        """Parents read a child's annihilator up to the child's rank + 2,
-        so every such degree is checked."""
+        """annihilator(d), combined from N_d and the lifts, is vector for
+        vector the kernel_basis of the global sections solved for entry by
+        entry, for every sheaf a build memoizes and every degree up to its
+        rank + 2, the degrees parents read.  U(1,2) has a rank-0 child and
+        B3 is settled."""
         field = GF(p) if p else QQ
-        inputs = (Matroid.fano(), Matroid.uniform(3, 5), Matroid.uniform(4, 5), _memo_inputs()["K4"]())
+        inputs = (
+            Matroid.fano(), Matroid.uniform(3, 5), Matroid.uniform(4, 5), _memo_inputs()["K4"](),
+            Matroid.uniform(1, 2), Matroid.boolean(3),
+        )
         for m in inputs:
             matroid_ih._MEMO.clear()
-            s = matroid_sheaf(m, field)
-            for d in range(m.rank + 3):
-                got = [list(map(int, v)) for v in s.full_basis(d).basis()]
-                want = [list(map(int, v)) for v in _full_basis_by_loops(s, d).basis()]
-                assert got == want, (m, p, d)
+            matroid_sheaf(m, field)
+            for bucket in list(matroid_ih._MEMO.values()):
+                for _, s, _ in bucket:
+                    for d in range(s.rank + 3):
+                        got = [list(map(int, v)) for v in s.annihilator(d)]
+                        ref = _full_basis_by_loops(s, d)
+                        want = kernel_basis(ref.basis(), ref.ncols, field)
+                        assert got == [list(map(int, v)) for v in want], (m, p, s.rank, d)
 
 
 def _raised(sheaf, vectors, e, d, g):
