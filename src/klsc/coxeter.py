@@ -138,7 +138,7 @@ class CoxeterGroup:
     roots and coroots.
     """
 
-    def __init__(self, cartan: CartanDatum, size_cap=GROUP_SIZE_CAP):
+    def __init__(self, cartan: CartanDatum):
         self.cartan = cartan
         n = cartan.rank
         self.rank = n
@@ -178,9 +178,9 @@ class CoxeterGroup:
                         lengths.append(lengths[x] + 1)
                         words.append((s,) + words[x])
                         new_frontier.append(index[m])
-                        if len(mats) > size_cap:
+                        if len(mats) > GROUP_SIZE_CAP:
                             raise InvalidInputError(
-                                f"group exceeds the cap of {size_cap} elements"
+                                f"group exceeds the cap of {GROUP_SIZE_CAP} elements"
                             )
             if lengths[-1] > _LENGTH_CAP:
                 raise InvalidInputError("Cartan datum does not generate a finite group")

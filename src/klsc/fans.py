@@ -17,7 +17,7 @@ faces are linear substitutions in those coordinates.
 from __future__ import annotations
 
 import itertools
-from math import gcd
+from math import gcd, lcm
 
 from klsc.errors import InvalidInputError
 from klsc.field import QQ, read_int
@@ -138,8 +138,7 @@ class Cone:
         out = []
         for r in self.rays:
             active = [n for n in normals if _dot(n, r) == 0]
-            space_rows = active
-            if _rank_int(space_rows, self.ambient_dim) >= self.dim - 1:
+            if _rank_int(active, self.ambient_dim) >= self.dim - 1:
                 out.append(r)
         return tuple(out)
 
@@ -151,17 +150,9 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def _den_lcm(vec):
-    lcm = 1
-    for v in vec:
-        d = v.denominator
-        lcm = lcm * d // gcd(lcm, d)
-    return lcm
-
-
 def _rationals_to_primitive(vec):
-    lcm = _den_lcm(vec)
-    return _primitive([int(v * lcm) for v in vec])
+    den = lcm(*(v.denominator for v in vec))
+    return _primitive([int(v * den) for v in vec])
 
 
 class Fan:
@@ -518,11 +509,8 @@ class FanLocalModel:
         module = GradedModule(
             self.field, chart_x.nvars, bound, ambient_dims, view.bases, raising
         )
-
-        def res(degree, svec):
-            return svec
-
-        return module, res
+        # the module is F(>x) itself: res is the identity
+        return module, [[] for _ in range(bound + 1)], lambda d, v: v
 
 
 def build_fan_sheaf(fan: Fan):

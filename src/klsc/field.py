@@ -92,13 +92,6 @@ class Rationals:
     def eq(self, a, b):
         return a == b
 
-    def as_int(self, a):
-        """Return a as a Python int; raises if a is not integral."""
-        num, den = a.numerator, a.denominator
-        if den != 1:
-            raise ValueError(f"{a} is not an integer")
-        return int(num)
-
     def to_str(self, a):
         """Serialize in canonical lowest terms "p/q" (q > 0), or "p" if integral."""
         num, den = a.numerator, a.denominator
@@ -186,9 +179,6 @@ class PrimeField:
 
     def eq(self, a, b):
         return (a - b) % self.p == 0
-
-    def as_int(self, a):
-        return a % self.p
 
     def to_str(self, a):
         return str(a % self.p)

@@ -472,8 +472,11 @@ def solve_linear(rows, b, field):
 
     Raises InconsistentSystemError when the system has no solution; this
     is deliberately distinct from a solvable system whose kernel is zero.
+    Raises ValueError when b does not have one entry per row.
     """
-    ncols = len(rows[0]) if rows else len(b) * 0
+    if len(b) != len(rows):
+        raise ValueError(f"{len(rows)} rows but {len(b)} right-hand sides")
+    ncols = len(rows[0]) if rows else 0
     aug = [list(r) + [bv] for r, bv in zip(rows, b)]
     basis, pivots = rref(aug, ncols + 1, field)
     x = [field.zero] * ncols

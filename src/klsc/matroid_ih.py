@@ -696,11 +696,14 @@ class MatroidLocalModel:
                         rows[r].append((j, a))
             raising[0].append(rows)
         module = GradedModule(field, 1, bound, ambient_dims, bases, raising)
-
-        def res(degree, svec):
-            return to_quotient_coords(svec, degree)
-
-        return module, res
+        # res takes quotient coordinates: its kernel is N_d, and the
+        # representatives lift the module's coordinate vectors
+        kernel = [nspaces[d].basis() for d in range(bound + 1)]
+        rep_rows = [
+            [[(j, v[c]) for j, v in enumerate(reps[d]) if v[c]] for c in range(len(layouts[d]))]
+            for d in range(bound + 1)
+        ]
+        return module, kernel, lambda d, v: matvec(rep_rows[d], v, field)
 
 
 def build_matroid_sheaf_generic(matroid: Matroid, field=QQ):

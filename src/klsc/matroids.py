@@ -42,7 +42,7 @@ def _mask(elems):
 class Matroid:
     """A loopless matroid given by a rank oracle on frozensets."""
 
-    def __init__(self, n, rank_fn, tag=None, validate=True, close=None):
+    def __init__(self, n, rank_fn, tag=None, close=None):
         self.n = n
         self._rank_fn = rank_fn
         # optional closure on int masks, mask -> (closure mask, rank)
@@ -52,11 +52,9 @@ class Matroid:
         self.rank = self.rank_of(frozenset(range(n)))
         self._flats = None
         self._lattice = None
-        if validate and self.rank_of(frozenset()) != 0:
+        if self.rank_of(frozenset()) != 0:
             raise InvalidInputError("rank of the empty set must be 0")
-        if validate and any(
-            self.rank_of(frozenset([e])) == 0 for e in range(n)
-        ):
+        if any(self.rank_of(frozenset([e])) == 0 for e in range(n)):
             raise InvalidInputError("matroid has a loop")
 
     # -- construction ------------------------------------------------------------

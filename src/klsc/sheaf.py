@@ -4,17 +4,30 @@ Given a poset and a local model (a rule computing, for each element x, the
 boundary module over the ring R_x from the sections already built above
 x), this builds the sheaf element by element in decreasing rank:
 
-* maximal elements get the free rank-one stalk R_x;
-* otherwise M_dx := model.boundary(x, sections over {y > x}), the stalk is
-  its minimal free cover M_x, and the sections over {y >= x} are the
-  kernel of F({y > x}) + M_x -> M_dx.
+* maximal elements get the free rank-one stalk R_x, all of it sections;
+* otherwise model.boundary(x, sections over {y > x}) describes the boundary
+  module M_dx as a quotient res: F({y > x}) -> M_dx, the stalk is its
+  minimal free cover psi: M_x -> M_dx, and the sections over {y >= x} are
+  the pairs (m, s) with m in M_x, s in F({y > x}) and res(s) = psi(m).
+
+The boundary contract: ``model.boundary(x, view)`` returns
+``(module, kernel, section_of)``, where ``kernel[d]`` is a basis of the
+degree-d sections over {y > x} that res sends to 0, and ``section_of(d, v)``
+is a section over {y > x} whose image under res is the module vector v.
+Spanning fact: ``kernel[d]`` together with ``section_of`` of a basis of
+M_dx in degree d is a basis of F({y > x}) in degree d.  So (m, s) is a
+section over {y >= x} exactly when s - section_of(psi(m)) lies in the span
+of ``kernel[d]``, and the functionals cutting these sections out of the
+coordinates (x block, then {y > x}) are, for each phi in the kernel of
+``kernel[d]``, the vector -phi . section_of(psi(m)) over the monomial basis
+m of M_x, followed by phi.  No system is solved for the sections at x.
 
 Sections over an upper set Q are represented concretely by their
 localization coordinates: a section is the tuple of its stalk components,
 a vector in the direct sum over y in Q of the free modules M_y, and F(Q)
-is cut out degreewise by membership of each sub-tuple in the already-built
-minimal-open-set section spaces.  Restriction maps are then literally
-coordinate projections, and flabbiness is a rank check.
+is cut out degreewise by these functionals at each minimal element of Q.
+Restriction maps are then literally coordinate projections, and
+flabbiness is a rank check.
 
 There is no uniform recipe for the boundary module; each instantiation
 (fans, matroid lattices) supplies its own through the LocalModel hooks.
@@ -33,7 +46,7 @@ from klsc.graded import (
     minimal_generator_degrees,
     minimal_generators,
 )
-from klsc.linalg import RowSpace, kernel_basis
+from klsc.linalg import RowSpace, kernel_basis, matvec
 from klsc.poly import UniPoly, monomials
 from klsc.poset import RankedPoset, UpperSet
 
@@ -64,8 +77,8 @@ class PosetSheaf:
         self.field = model.field
         self.bound = bound
         self.stalks = {}  # element -> list of generator degrees
-        self.spaces = {}  # element -> per degree RowSpace of S_x in P_x coords
-        self._annihilators = {}
+        # element -> per degree: functionals cutting S_x out of P_x coords
+        self.annihilators = {}
 
     # -- coordinates -------------------------------------------------------------
 
@@ -89,16 +102,6 @@ class PosetSheaf:
 
     # -- section spaces ------------------------------------------------------------
 
-    def _annihilator(self, y, degree):
-        """Functionals (rows) vanishing exactly on S_y at the given degree,
-        in P_y coordinates."""
-        key = (y, degree)
-        if key not in self._annihilators:
-            space = self.spaces[y][degree]
-            n = space.ncols
-            self._annihilators[key] = kernel_basis(space.basis(), n, self.field)
-        return self._annihilators[key]
-
     def section_space(self, mask, degree) -> RowSpace:
         """Basis of F(Q) at the given degree, Q the upper set of the mask."""
         elems = self._sorted_upper(mask)
@@ -109,7 +112,7 @@ class PosetSheaf:
             sub_elems = self._sorted_upper(self.poset.up[y])
             sub_layout = self.layout(sub_elems, degree)
             positions = [pos[key] for key in sub_layout]
-            for func in self._annihilator(y, degree):
+            for func in self.annihilators[y][degree]:
                 row = [self.field.zero] * len(layout)
                 for c, val in zip(positions, func):
                     row[c] = val
@@ -170,18 +173,14 @@ class PosetSheaf:
         of F(small) and compare ranks."""
         if small.mask & ~big.mask:
             raise ValueError("small set is not contained in the big one")
+        big_elems = self._sorted_upper(big.mask)
+        small_elems = set(self._sorted_upper(small.mask))
         ok = True
         for d in range(self.bound + 1):
             big_space = self.section_space(big.mask, d)
             small_space = self.section_space(small.mask, d)
-            big_elems = self._sorted_upper(big.mask)
-            small_elems = self._sorted_upper(small.mask)
             big_layout = self.layout(big_elems, d)
-            pos = [
-                c
-                for c, key in enumerate(big_layout)
-                if key[0] in set(small_elems)
-            ]
+            pos = [c for c, key in enumerate(big_layout) if key[0] in small_elems]
             proj = RowSpace(self.field, len(pos))
             for v in big_space.basis():
                 proj.add([v[c] for c in pos])
@@ -204,29 +203,11 @@ def build_sheaf(poset: RankedPoset, model) -> PosetSheaf:
     order = sorted(poset.elements(), key=lambda x: (-poset.rank[x], x))
     for x in order:
         if poset.up[x] == 1 << x:
-            _attach_maximal(sheaf, x)
+            sheaf.stalks[x] = [0]
+            sheaf.annihilators[x] = [[] for _ in range(bound + 1)]
             continue
         _attach(sheaf, x, top_rank, enforce)
     return sheaf
-
-
-def _unit(field, n, i):
-    v = [field.zero] * n
-    v[i] = field.from_int(1)
-    return v
-
-
-def _attach_maximal(sheaf: PosetSheaf, x):
-    field = sheaf.field
-    sheaf.stalks[x] = [0]
-    spaces = []
-    for d in range(sheaf.bound + 1):
-        n = len(monomials(sheaf.model.nvars(x), d))
-        space = RowSpace(field, n)
-        for c in range(n):
-            space.add(_unit(field, n, c))
-        spaces.append(space)
-    sheaf.spaces[x] = spaces
 
 
 def _attach(sheaf: PosetSheaf, x, top_rank, enforce):
@@ -237,10 +218,10 @@ def _attach(sheaf: PosetSheaf, x, top_rank, enforce):
 
     open_mask = poset.up[x] & ~(1 << x)
     elems = sheaf._sorted_upper(open_mask)
-    fspaces = [sheaf.section_space(open_mask, d) for d in range(sheaf.bound + 1)]
-    view = SectionView(sheaf, elems, [sp.basis() for sp in fspaces])
+    bases = [sheaf.section_space(open_mask, d).basis() for d in range(sheaf.bound + 1)]
+    view = SectionView(sheaf, elems, bases)
 
-    bmod, res = model.boundary(x, view)
+    bmod, kernel, section_of = model.boundary(x, view)
     lifts = minimal_generators(bmod)
     degrees = [d for d, _ in lifts]
     if enforce and degrees and degrees[-1] >= r_x:
@@ -248,12 +229,13 @@ def _attach(sheaf: PosetSheaf, x, top_rank, enforce):
     sheaf.stalks[x] = degrees
 
     nx = model.nvars(x)
-    spaces = []
+    annihilators = []
     psi = {}
     for d in range(sheaf.bound + 1):
         # psi on the monomial basis (gen, m) of the free cover: the lift of
         # gen raised by m, i.e. the image of (gen, m / v) one degree down
-        # raised by v, the last variable dividing m
+        # raised by v, the last variable dividing m.  Its keys are in the
+        # order of the x block of layout([x] + elems, d)
         prev, psi = psi, {}
         for gi, (gd, lift) in enumerate(lifts):
             if gd == d:
@@ -263,33 +245,13 @@ def _attach(sheaf: PosetSheaf, x, top_rank, enforce):
                     v = max(j for j, e in enumerate(m) if e)
                     down = m[:v] + (m[v] - 1,) + m[v + 1 :]
                     psi[(gi, m)] = bmod.apply_raising(v, d - 1, prev[(gi, down)])
-        cols, mvecs = list(psi), list(psi.values())
 
-        # sections over P_x: pairs (s, m) with res(s) = psi(m)
-        fbasis = fspaces[d].basis()
-        amb = bmod.ambient_dims[d]
-        nf, nx_block = len(fbasis), len(cols)
-        rows = [[field.zero] * (nf + nx_block) for _ in range(amb)]
-        for j, s in enumerate(fbasis):
-            rv = res(d, s)
-            for r in range(amb):
-                rows[r][j] = rv[r]
-        for j, mv in enumerate(mvecs):
-            for r in range(amb):
-                rows[r][nf + j] = field.neg(mv[r])
-        # a section's coordinates over P_x: layout([x] + elems, d) is the x
-        # block, in the order of cols, followed by layout(elems, d)
-        supports = [
-            [(nx_block + c, a) for c, a in enumerate(s) if not field.is_zero(a)]
-            for s in fbasis
-        ]
-        space = RowSpace(field, nx_block + len(sheaf.layout(elems, d)))
-        for sol in kernel_basis(rows, nf + nx_block, field):
-            vec = list(sol[nf:]) + [field.zero] * (space.ncols - nx_block)
-            for c, support in zip(sol, supports):
-                if not field.is_zero(c):
-                    for k, a in support:
-                        vec[k] = field.add(vec[k], field.mul(c, a))
-            space.add(vec)
-        spaces.append(space)
-    sheaf.spaces[x] = spaces
+        # annihilators of the pairs (m, section_of(psi(m)) + k), k in the
+        # span of kernel[d] (module docstring)
+        phis = kernel_basis(kernel[d], len(view.layout(d)), field)
+        supports = [[(c, a) for c, a in enumerate(phi) if a] for phi in phis]
+        heads = [matvec(supports, section_of(d, mv), field) for mv in psi.values()]
+        annihilators.append(
+            [[field.neg(h[i]) for h in heads] + list(phi) for i, phi in enumerate(phis)]
+        )
+    sheaf.annihilators[x] = annihilators

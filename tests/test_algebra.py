@@ -380,6 +380,15 @@ class TestLinalg:
         # x = 1 is solvable even though the kernel is zero
         assert solve_linear([[one]], [one], QQ) == [one]
 
+    def test_solve_refuses_mismatched_right_hand_side(self):
+        with pytest.raises(ValueError):
+            solve_linear([[1]], [1, 5], QQ)
+        with pytest.raises(ValueError):
+            solve_linear([], [1], QQ)
+        with pytest.raises(ValueError):
+            solve_linear([[1], [2]], [1], QQ)
+        assert solve_linear([], [], QQ) == []
+
     @given(st.integers(0, 10_000))
     def test_row_order_does_not_change_rank(self, seed):
         rng = random.Random(seed)

@@ -40,6 +40,12 @@ class TestEnumeration:
         with pytest.raises(InvalidInputError):
             CoxeterGroup(CartanDatum.from_matrix(affine))
 
+    def test_size_cap_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr("klsc.coxeter.GROUP_SIZE_CAP", 23)
+        with pytest.raises(InvalidInputError, match="cap of 23"):
+            group("A3")
+        assert group("A2").size == 6
+
     def test_non_crystallographic_rejected(self):
         with pytest.raises(InvalidInputError):
             CartanDatum.from_type("H3")

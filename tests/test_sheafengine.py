@@ -1,28 +1,94 @@
-"""The generic sheaf engine: base cases, boundary modules, determinism."""
+"""The generic sheaf engine: base cases, boundary modules, annihilators,
+determinism."""
 
-from klsc.fans import Fan, FanLocalModel, build_fan_sheaf, face_lattice, fan_face_poset
-from klsc.field import QQ
-from klsc.graded import FreeModuleShape, GradedModule, minimal_generator_degrees
+import pytest
+
+from klsc.fans import (
+    Fan,
+    FanLocalModel,
+    build_fan_sheaf,
+    cone_over_polytope,
+    face_lattice,
+    fan_face_poset,
+)
+from klsc.field import GF, QQ
+from klsc.graded import (
+    FreeModuleShape,
+    GradedModule,
+    minimal_generator_degrees,
+    minimal_generators,
+)
+from klsc.linalg import RowSpace, kernel_basis, rref
 from klsc.matroids import Matroid
-from klsc.matroid_ih import MatroidLocalModel
+from klsc.matroid_ih import MatroidLocalModel, build_matroid_sheaf_generic
 from klsc.poset import UpperSet
-from klsc.poly import MultiPoly, UniPoly
+from klsc.poly import MultiPoly, UniPoly, monomials
 from klsc.sheaf import SectionView, build_sheaf
+from klsc.validate import PRISM, PYRAMID, SQUARE, simplex
 
 SQUARE_CONE_RAYS = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
 
+FANS = {
+    "simplex3": lambda: cone_over_polytope(simplex(3)),
+    "square": lambda: cone_over_polytope(SQUARE),
+    "pyramid": lambda: cone_over_polytope(PYRAMID),
+    "prism": lambda: cone_over_polytope(PRISM),
+    "four-orthant": lambda: Fan.from_max_cones(
+        2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (1, 2), (2, 3), (3, 0)]
+    ),
+}
 
-def boundary_module_at_bottom(poset, sheaf, model):
-    """Re-derive the boundary module the engine built at the bottom."""
-    x = poset.bottom()
-    mask = poset.up[x] & ~(1 << x)
+MATROIDS = {
+    "U(3,4)": lambda: Matroid.uniform(3, 4),
+    "U(4,5)": lambda: Matroid.uniform(4, 5),
+    "Fano": Matroid.fano,
+}
+
+
+def boundary_at(sheaf, x):
+    """Re-run the model's boundary at x on the sections the engine built
+    over {y > x}; returns the view and the model's (module, kernel,
+    section_of)."""
+    mask = sheaf.poset.up[x] & ~(1 << x)
     elems = sheaf._sorted_upper(mask)
     bases = [
         sheaf.section_space(mask, d).basis() for d in range(sheaf.bound + 1)
     ]
     view = SectionView(sheaf, elems, bases)
-    module, res = model.boundary(x, view)
+    return view, sheaf.model.boundary(x, view)
+
+
+def boundary_module_at_bottom(poset, sheaf):
+    """Re-derive the boundary module the engine built at the bottom."""
+    _, (module, _, _) = boundary_at(sheaf, poset.bottom())
     return module
+
+
+def fan_sections_by_kernel_solve(sheaf, x, d):
+    """Reference for a fan: a basis of S_x, the sections over {y >= x} in
+    degree d, in the coordinates of layout([x] + {y > x}), solved as the
+    kernel of [s | -psi(m)] over a basis s of F(>x)_d and the monomial
+    basis m of the free cover (res is the identity), then glued."""
+    view, (module, _, _) = boundary_at(sheaf, x)
+    nx = sheaf.model.nvars(x)
+    psi = []
+    for gd, lift in minimal_generators(module):
+        for m in monomials(nx, d - gd) if gd <= d else ():
+            vec, deg = lift, gd
+            for v, e in enumerate(m):
+                for _ in range(e):
+                    vec = module.apply_raising(v, deg, vec)
+                    deg += 1
+            psi.append(vec)
+    fbasis = view.bases[d]
+    amb = module.ambient_dims[d]
+    rows = [[s[r] for s in fbasis] + [-p[r] for p in psi] for r in range(amb)]
+    out = []
+    for sol in kernel_basis(rows, len(fbasis) + len(psi), QQ):
+        coeffs = sol[: len(fbasis)]
+        glued = [sum(c * s[r] for c, s in zip(coeffs, fbasis)) for r in range(amb)]
+        out.append(list(sol[len(fbasis) :]) + glued)
+    return out
 
 
 class TestBaseCases:
@@ -46,7 +112,7 @@ class TestBoundaryModules:
         poset = fan_face_poset(fan)
         model = FanLocalModel(fan)
         sheaf = build_sheaf(poset, model)
-        module = boundary_module_at_bottom(poset, sheaf, model)
+        module = boundary_module_at_bottom(poset, sheaf)
         assert minimal_generator_degrees(module) == FreeModuleShape((0, 1))
         assert module.validate()  # raising maps stay inside the module
 
@@ -55,7 +121,7 @@ class TestBoundaryModules:
         lattice = m.lattice()
         model = MatroidLocalModel(m)
         sheaf = build_sheaf(lattice, model)
-        module = boundary_module_at_bottom(lattice, sheaf, model)
+        module = boundary_module_at_bottom(lattice, sheaf)
         assert minimal_generator_degrees(module) == FreeModuleShape((0,))
         assert module.dims() == [1, 0, 0]
 
@@ -68,6 +134,51 @@ class TestBoundaryModules:
             (0, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 3)
         )
         assert sheaf.sections_poincare(full) == UniPoly((1, 6, 6, 1))
+
+
+class TestAnnihilators:
+    @pytest.mark.parametrize("name", sorted(FANS))
+    def test_fan_annihilators_match_the_kernel_solve(self, name):
+        poset, sheaf = build_fan_sheaf(FANS[name]())
+        for x in poset.elements():
+            elems = sheaf._sorted_upper(poset.up[x])
+            for d in range(sheaf.bound + 1):
+                n = len(sheaf.layout(elems, d))
+                got = sheaf.annihilators[x][d]
+                if poset.up[x] == 1 << x:
+                    assert got == []
+                    continue
+                sections = fan_sections_by_kernel_solve(sheaf, x, d)
+                expected = kernel_basis(sections, n, QQ)
+                assert rref(got, n, QQ) == rref(expected, n, QQ), (name, x, d)
+
+    @pytest.mark.parametrize(
+        "name, field",
+        [(n, QQ) for n in FANS] + [(n, f) for n in MATROIDS for f in (QQ, GF(2), GF(3))],
+        ids=str,
+    )
+    def test_kernel_and_lifted_module_basis_are_a_basis(self, name, field):
+        """kernel[d] and section_of of a basis of the boundary module lie
+        in F(>x)_d, are independent and span it."""
+        if name in FANS:
+            poset, sheaf = build_fan_sheaf(FANS[name]())
+        else:
+            poset, sheaf = build_matroid_sheaf_generic(MATROIDS[name](), field)
+        for x in poset.elements():
+            if poset.up[x] == 1 << x:
+                continue
+            view, (module, kernel, section_of) = boundary_at(sheaf, x)
+            for d in range(sheaf.bound + 1):
+                ncols = len(view.layout(d))
+                fspace = RowSpace(field, ncols)
+                for s in view.bases[d]:
+                    fspace.add(s)
+                vectors = list(kernel[d]) + [section_of(d, b) for b in module.bases[d]]
+                assert all(fspace.contains(v) for v in vectors), (name, x, d)
+                span = RowSpace(field, ncols)
+                for v in vectors:
+                    span.add(v)
+                assert span.dim == len(vectors) == fspace.dim, (name, x, d)
 
 
 class TestRaising:
