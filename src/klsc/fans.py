@@ -38,14 +38,10 @@ def _primitive(vec):
     return tuple(ints)
 
 
-def _qq_rows(rows):
-    return [[QQ.from_int(v) for v in r] for r in rows]
-
-
 def _rank_int(rows, ncols):
     space = RowSpace(QQ, ncols)
     for r in rows:
-        space.add([QQ.from_int(v) for v in r])
+        space.add(r)
     return space.dim
 
 
@@ -67,7 +63,7 @@ class Cone:
             space = RowSpace(QQ, self.ambient_dim)
             basis = []
             for r in self.rays:
-                if space.add([QQ.from_int(v) for v in r]) is not None:
+                if space.add(r) is not None:
                     basis.append(r)
             self._span_basis = basis
         return self._span_basis
@@ -82,18 +78,15 @@ class Cone:
         span = self.span_basis()
         normals = {}
         # complement of the span, so candidate normals stay inside it
-        span_perp = kernel_basis(
-            _qq_rows(span), d, QQ
-        )
+        span_perp = kernel_basis(span, d, QQ)
         for subset in itertools.combinations(self.rays, k - 1):
             if _rank_int(subset, d) != k - 1:
                 continue
             # normal inside span: orthogonal to subset and to span-perp
-            perp_rows = _qq_rows(subset) + [list(v) for v in span_perp]
-            ker = kernel_basis(perp_rows, d, QQ)
+            ker = kernel_basis(list(subset) + span_perp, d, QQ)
             if len(ker) != 1:
                 continue
-            n = _rationals_to_primitive(ker[0])
+            n = tuple(ker[0])  # primitive already
             sides = [_dot(n, r) for r in self.rays]
             if all(s >= 0 for s in sides):
                 normals[n] = True
@@ -181,14 +174,17 @@ class Fan:
         rays = [_primitive(r) for r in ray_vectors]
         if len(set(rays)) != len(rays):
             raise InvalidInputError("duplicate rays")
+        ray_id = {r: i for i, r in enumerate(rays)}
         all_ids = set()
         for idxs in max_cones:
+            idxs = [read_int(i) for i in idxs]
+            if not all(0 <= i < len(rays) for i in idxs):
+                raise InvalidInputError(f"cone {idxs}: ray index out of range")
             c = Cone([rays[i] for i in idxs], ambient_dim)
             if set(c.rays) != {rays[i] for i in idxs}:
                 raise InvalidInputError(
                     f"cone {idxs}: listed rays are not exactly its extreme rays"
                 )
-            ray_id = {r: i for i, r in enumerate(rays)}
             for f in c.faces():
                 all_ids.add(tuple(sorted(ray_id[r] for r in f)))
         fan = Fan(ambient_dim, rays, sorted(all_ids))
@@ -333,24 +329,13 @@ class ConeChart:
         """Row a: the restriction of ambient coordinate x_a, as a linear
         form in the chart coordinates (coefficients = row a of the basis
         matrix)."""
-        d = self.fan.ambient_dim
-        return [
-            [QQ.from_int(self.basis[i][a]) for i in range(self.nvars)]
-            for a in range(d)
-        ]
+        return [[b[a] for b in self.basis] for a in range(self.fan.ambient_dim)]
 
     def restriction_matrix(self, sub: "ConeChart"):
         """Matrix C with chart var u_i = sum_j C[i][j] w_j on the subspace
         spanned by sub's basis; i.e. solve B u = B_sub w columnwise."""
-        d = self.fan.ambient_dim
-        rows = [
-            [QQ.from_int(self.basis[i][a]) for i in range(self.nvars)]
-            for a in range(d)
-        ]
-        cols = []
-        for b in sub.basis:
-            target = [QQ.from_int(b[a]) for a in range(d)]
-            cols.append(solve_linear(rows, target, QQ))
+        rows = self.ambient_var_forms()
+        cols = [solve_linear(rows, b, QQ) for b in sub.basis]
         # cols[j][i] = coefficient of u_i for w_j; transpose to rows per u_i
         return [[cols[j][i] for j in range(len(sub.basis))] for i in range(self.nvars)]
 

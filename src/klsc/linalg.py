@@ -13,6 +13,11 @@ maintained reduced row echelon basis:
   that were added ("tagged" mode), which is how generator provenance is
   recovered in the sheaf computations.
 
+``kernel_basis`` hands out a kernel in the form a RowSpace holding it
+would: reduced echelon rows in increasing pivot order.  Eliminating the
+columns last to first makes each free column's vector reduced as built,
+so no caller eliminates a kernel a second time.
+
 Over QQ the elimination is fraction-free (Bareiss, Math. Comp. 22, 1968),
 whichever rational backend is installed: every basis row is a primitive
 vector of Python ints with a positive pivot entry, input vectors are
@@ -434,13 +439,19 @@ def rref(rows, ncols, field):
 
 def kernel_basis(rows, ncols, field):
     """Basis of the right kernel {x : A x = 0} of the matrix with the given
-    rows.  The empty kernel is the empty list (not an error).  Over QQ the
-    vectors are primitive int vectors, one per free column; over GF(p) they
-    are int64 arrays with a one in their free column."""
+    rows, as the basis() of a RowSpace holding the kernel: reduced echelon
+    form in increasing pivot order, primitive int lists with a positive
+    pivot over QQ, int64 arrays with unit pivots over GF(p).  The empty
+    kernel is the empty list (not an error).
+
+    A's columns are eliminated last to first.  In those reversed
+    coordinates the vector of a free column f is zero at the other free
+    columns and after f; read forwards, it leads at f and is zero at the
+    other free columns, the kernel's pivots, so it is already reduced."""
     if field.characteristic:
         space = RowSpace(field, ncols)
         for r in rows:
-            space.add(r)
+            space.add(r[::-1])
         pivots = sorted(space._pivots)
         pivot_set = set(pivots)
         free_cols = [c for c in range(ncols) if c not in pivot_set]
@@ -449,12 +460,12 @@ def kernel_basis(rows, ncols, field):
         if pivots and free_cols:
             mat = np.array(space.basis())
             out[:, pivots] = (-mat[:, free_cols].T) % field.p
-        return list(out)
-    basis, pivots = rref(rows, ncols, field)
+        return list(out[::-1, ::-1].copy())
+    basis, pivots = rref((r[::-1] for r in rows), ncols, field)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     out = []
-    for fc in free_cols:
+    for fc in reversed(free_cols):
         # each pivot row: pv*x_pivot + sum(row[c] x_c for free c) = 0
         terms = [(pc, row[fc], row[pc]) for row, pc in zip(basis, pivots) if row[fc]]
         m = lcm(*(pv for _, _, pv in terms))
@@ -463,7 +474,7 @@ def kernel_basis(rows, ncols, field):
         for pc, a, pv in terms:
             v[pc] = -a * (m // pv)
         g = gcd(*v)
-        out.append([x // g for x in v] if g != 1 else v)
+        out.append([x // g for x in reversed(v)] if g != 1 else v[::-1])
     return out
 
 

@@ -78,8 +78,9 @@ read off N and the lifts without a further solve:
   (e_i, h^(d - deg i) lift_i);
 * so a functional (a, phi) on those pairs vanishes on the global
   sections exactly when phi vanishes on N_d and a_i = -phi . h^(d - deg i)
-  lift_i.  A parent reads a child only through these annihilators, one
-  for each vector phi of the kernel of N_d.
+  lift_i.  A parent reads a child only through the kernel of these
+  annihilators, one for each vector phi of the kernel of N_d, so only
+  their span matters.
 
 All three take N_d + h F_{d-1} to lie in F_d; the sweep checks that in every
 degree and raises TruncationBoundError otherwise.
@@ -300,7 +301,6 @@ class MatroidIHSheaf:
                         self.stalk_shapes[j] = child.stalk_shapes[cf]
 
         # per-degree data, extended on demand
-        self._proper = []  # RowSpace of F(L - bottom) per degree
         self._nspace = []  # span of the y-action images per degree
         self._lifts = []  # (degree, vector) per bottom stalk generator
         self._bottom_gens = []
@@ -436,6 +436,22 @@ class MatroidIHSheaf:
 
     # -- the degree sweep ----------------------------------------------------------------
 
+    def proper_basis(self, d):
+        """F_d, the sections over L - bottom in degree d: the kernel of the
+        children's annihilators, in the echelon form kernel_basis hands
+        out.  The sweep reads it once and does not keep it; over GF(p) it
+        would be the largest thing a sheaf holds."""
+        layout, pos = self._proper_coords(d)
+        rows = []
+        for a, child, cmap in self.children:
+            child._ensure(d)
+            positions = [pos[(cmap[cf], gi)] for (cf, gi) in child.full_layout(d)]
+            if self.np_vectors:
+                positions = self._np.array(positions, dtype=self._np.intp)
+            for func in child.annihilator(d):
+                rows.append(self._scatter(func, positions, len(layout)))
+        return kernel_basis(rows, len(layout), self.field)
+
     def _ensure(self, d):
         while self._max_degree < d:
             self._extend_one()
@@ -453,21 +469,7 @@ class MatroidIHSheaf:
 
         layout, pos = self._proper_coords(d)
         size = len(layout)
-
-        rows = []
-        for a, child, cmap in self.children:
-            child._ensure(d)
-            child_layout = child.full_layout(d)
-            child_ann = child.annihilator(d)
-            positions = [pos[(cmap[cf], gi)] for (cf, gi) in child_layout]
-            if self.np_vectors:
-                positions = self._np.array(positions, dtype=self._np.intp)
-            for func in child_ann:
-                rows.append(self._scatter(func, positions, size))
-        fspace = RowSpace(field, size)
-        for v in kernel_basis(rows, size, field):
-            fspace.add(v)
-        self._proper.append(fspace)
+        fbasis = self.proper_basis(d)
 
         # span of the y-action images: N_d = h N_{d-1} + sum y_G (lifts of
         # degree d - rk G).  y_G y_H = h^(rk G + rk H - rk(G v H)) y_{G v H},
@@ -507,7 +509,7 @@ class MatroidIHSheaf:
         big = nspace.copy()
         for e, v in self._lifts:
             big.add(self._scatter(v, self._shift(e, d), size))
-        for v in fspace.basis():
+        for v in fbasis:
             if big.add(v) is not None:
                 if self.enforce and d >= self.rank:
                     raise DegreeBoundError(self.lattice.names[0], d, self.rank)
@@ -516,8 +518,10 @@ class MatroidIHSheaf:
                         "boundary generator at the sweep margin; raise the bound"
                     )
                 self._bottom_gens.append(d)
-                self._lifts.append((d, v))
-        if big.dim != fspace.dim:
+                # a copy: over GF(p) v is a view that would keep all of
+                # F_d's kernel matrix alive
+                self._lifts.append((d, v.copy()))
+        if big.dim != len(fbasis):
             raise TruncationBoundError("N_d + h F_{d-1} is not inside the sections F_d")
 
         n_bottom = sum(1 for g in self._bottom_gens if g <= d)
@@ -551,9 +555,9 @@ class MatroidIHSheaf:
         """Functionals on the full layout vanishing exactly on the global
         sections at degree d: -phi . h^(d - deg i) lift_i at each bottom
         generator i of degree <= d, then phi, for each phi in the kernel of
-        N_d (module docstring).  Since the echelon form of the sections has
-        its free columns at N_d's, kernel_basis would give these vectors,
-        in this order.  A single flat's sections are its whole stalk."""
+        N_d (module docstring).  They span the annihilator of the sections
+        but are not in echelon form; parents read them only through a
+        kernel.  A single flat's sections are its whole stalk."""
         if d not in self._annihilators:
             self._ensure(d)
             out = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 import operator
 
 from klsc.errors import InvalidInputError
+from klsc.field import read_int
 from klsc.poly import UniPoly
 
 MAX_ELEMENTS = 10_000  # desk scale; dense reachability beyond this is out of scope
@@ -312,7 +313,8 @@ class RankedPoset:
         try:
             if len(names) != len(ranks):
                 raise InvalidInputError("elements and rank arrays differ in length")
-            return RankedPoset(ranks, [tuple(c) for c in covers], names=names)
+            ranks = [read_int(r) for r in ranks]
+            return RankedPoset(ranks, [tuple(map(read_int, c)) for c in covers], names=names)
         except (TypeError, ValueError) as exc:
             raise InvalidInputError(f"bad poset JSON: {exc!r}") from exc
 

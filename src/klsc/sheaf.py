@@ -26,8 +26,10 @@ Sections over an upper set Q are represented concretely by their
 localization coordinates: a section is the tuple of its stalk components,
 a vector in the direct sum over y in Q of the free modules M_y, and F(Q)
 is cut out degreewise by these functionals at each minimal element of Q.
-Restriction maps are then literally coordinate projections, and
-flabbiness is a rank check.
+``section_space`` returns that kernel's basis as ``kernel_basis`` hands it
+out, already in reduced echelon form, so only the functionals' span
+matters and no section space is eliminated twice.  Restriction maps are
+then literally coordinate projections, and flabbiness is a rank check.
 
 There is no uniform recipe for the boundary module; each instantiation
 (fans, matroid lattices) supplies its own through the LocalModel hooks.
@@ -62,9 +64,6 @@ class SectionView:
 
     def layout(self, degree):
         return self.sheaf.layout(self.elems, degree)
-
-    def dim(self, degree):
-        return len(self.bases[degree])
 
 
 class PosetSheaf:
@@ -102,8 +101,10 @@ class PosetSheaf:
 
     # -- section spaces ------------------------------------------------------------
 
-    def section_space(self, mask, degree) -> RowSpace:
-        """Basis of F(Q) at the given degree, Q the upper set of the mask."""
+    def section_space(self, mask, degree):
+        """Basis of F(Q) at the given degree, Q the upper set of the mask:
+        the kernel of the annihilators at Q's minimal elements, in the
+        reduced echelon form kernel_basis hands out."""
         elems = self._sorted_upper(mask)
         layout = self.layout(elems, degree)
         pos = {key: c for c, key in enumerate(layout)}
@@ -117,14 +118,11 @@ class PosetSheaf:
                 for c, val in zip(positions, func):
                     row[c] = val
                 rows.append(row)
-        space = RowSpace(self.field, len(layout))
-        for v in kernel_basis(rows, len(layout), self.field):
-            space.add(v)
-        return space
+        return kernel_basis(rows, len(layout), self.field)
 
     def sections_over(self, upper: UpperSet):
         """Degreewise dimensions of F(Q)."""
-        return [self.section_space(upper.mask, d).dim for d in range(self.bound + 1)]
+        return [len(self.section_space(upper.mask, d)) for d in range(self.bound + 1)]
 
     def raising(self, elems, degree, form_of):
         """Multiplication by a linear form on the localization coordinates
@@ -145,7 +143,7 @@ class PosetSheaf:
         """Minimal generator degrees of F(Q) over the ambient ring."""
         elems = self._sorted_upper(upper.mask)
         model = self.model
-        spaces = [self.section_space(upper.mask, d) for d in range(self.bound + 1)]
+        bases = [self.section_space(upper.mask, d) for d in range(self.bound + 1)]
         raising = [
             [
                 self.raising(elems, d, lambda y: model.ambient_var_form(y, a))
@@ -153,7 +151,7 @@ class PosetSheaf:
             ]
             for a in range(model.ambient_nvars)
         ]
-        dims, bases = [sp.ncols for sp in spaces], [sp.basis() for sp in spaces]
+        dims = [len(self.layout(elems, d)) for d in range(self.bound + 1)]
         module = GradedModule(self.field, model.ambient_nvars, self.bound, dims, bases, raising)
         return minimal_generator_degrees(module)
 
@@ -177,14 +175,12 @@ class PosetSheaf:
         small_elems = set(self._sorted_upper(small.mask))
         ok = True
         for d in range(self.bound + 1):
-            big_space = self.section_space(big.mask, d)
-            small_space = self.section_space(small.mask, d)
             big_layout = self.layout(big_elems, d)
             pos = [c for c, key in enumerate(big_layout) if key[0] in small_elems]
             proj = RowSpace(self.field, len(pos))
-            for v in big_space.basis():
+            for v in self.section_space(big.mask, d):
                 proj.add([v[c] for c in pos])
-            if proj.dim != small_space.dim:
+            if proj.dim != len(self.section_space(small.mask, d)):
                 ok = False
         return ok
 
@@ -218,7 +214,7 @@ def _attach(sheaf: PosetSheaf, x, top_rank, enforce):
 
     open_mask = poset.up[x] & ~(1 << x)
     elems = sheaf._sorted_upper(open_mask)
-    bases = [sheaf.section_space(open_mask, d).basis() for d in range(sheaf.bound + 1)]
+    bases = [sheaf.section_space(open_mask, d) for d in range(sheaf.bound + 1)]
     view = SectionView(sheaf, elems, bases)
 
     bmod, kernel, section_of = model.boundary(x, view)

@@ -241,6 +241,48 @@ def _qq_systems(draw):
     return ncols, rows, targets
 
 
+@st.composite
+def _kernel_systems(draw):
+    """(field, ncols, rows) for kernel_basis: QQ with int and Fraction
+    entries, GF(2), GF(3) and GF(65521) with entries outside [0, p) too,
+    widths 0-12.  The rows are no rows at all, zero rows, a random product
+    of inner dimension r (so ranks below full occur) or a full-rank
+    triangular matrix in shuffled row order; over GF(p) each row is a list
+    or an int64 array."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(65521)]))
+    p = field.characteristic
+    ncols = draw(st.integers(0, 12))
+    if p:
+        entry = st.integers(-2 * p, 2 * p)
+    else:
+        entry = st.one_of(
+            st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        )
+    shape = draw(st.sampled_from(["none", "zero", "product", "full"]))
+    if shape == "none":
+        rows = []
+    elif shape == "zero":
+        rows = [[0] * ncols for _ in range(draw(st.integers(1, 4)))]
+    elif shape == "product":
+        nrows, r = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+        a = [[draw(entry) for _ in range(r)] for _ in range(nrows)]
+        b = [[draw(entry) for _ in range(ncols)] for _ in range(r)]
+        rows = [
+            [sum(a[i][k] * b[k][j] for k in range(r)) for j in range(ncols)]
+            for i in range(nrows)
+        ]
+    else:
+        unit = st.integers(1, p - 1) if p else st.sampled_from([-2, -1, 1, Fraction(1, 3), 3])
+        rows = [
+            [draw(unit) if j == i else draw(entry) if j > i else 0 for j in range(ncols)]
+            for i in range(ncols)
+        ]
+        rows = draw(st.permutations(rows))
+    if p:
+        rows = [np.array(r, dtype=np.int64) if draw(st.booleans()) else r for r in rows]
+    return field, ncols, rows
+
+
 def _exact(vec):
     return all(isinstance(x, (int, Fraction)) for x in vec)
 
@@ -281,6 +323,30 @@ class TestLinalg:
         b = dense_matvec(rows, targets[0], QQ)
         x = solve_linear(rows, b, QQ)
         assert dense_matvec(rows, x, QQ) == b and _exact(x)
+
+    @given(_kernel_systems())
+    def test_kernel_basis_is_the_echelon_basis_of_the_kernel(self, system):
+        """kernel_basis hands out, entry for entry, the basis a RowSpace of
+        the kernel holds (reduced echelon form, increasing pivots, primitive
+        ints with positive pivots over QQ, unit pivots over GF(p)), and
+        every vector annihilates every row."""
+        field, ncols, rows = system
+        p = field.characteristic
+        ker = kernel_basis(rows, ncols, field)
+        space = RowSpace(field, ncols)
+        for v in ker:
+            space.add(v)
+        assert space.dim == len(ker) == ncols - len(rref(rows, ncols, field)[0])
+        if p:
+            assert all(v.dtype == np.int64 and len(v) == ncols for v in ker)
+            assert [list(map(int, v)) for v in ker] == [list(map(int, v)) for v in space.basis()]
+        else:
+            assert all(type(x) is int for v in ker for x in v)
+            assert ker == space.basis()
+        for r in rows:
+            for v in ker:
+                dot = sum(Fraction(a) * int(b) for a, b in zip(r, v))
+                assert (dot % p if p else dot) == 0
 
     def test_qq_reduce_is_linear(self):
         # pivot entries 6 and 3, so reduction scales and divides back

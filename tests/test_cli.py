@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from klsc.cli import main
 
@@ -202,6 +203,22 @@ class TestFanCommand:
         assert main(["fan", "ih", "--input", path, "--cone", "0"]) == 2
         assert "bad fan JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rays, cone, message",
+        [
+            ([[1, 0], [0, 1]], [0, 5], "out of range"),
+            ([[1, 0], [0, 1], [1, 1]], [0, -1], "out of range"),
+            ([[1, 0], [0, 1]], [0, True], "expected an integer"),
+        ],
+        ids=["index-past-the-rays", "negative-index", "boolean-index"],
+    )
+    def test_bad_cone_index_exits_2(self, tmp_path, capsys, rays, cone, message):
+        # these used to raise IndexError (exit 1), or to read -1 as the
+        # last ray and True as ray 1 (exit 0)
+        path = write(tmp_path, "bad.json", {"dim": 2, "rays": rays, "max_cones": [cone]})
+        assert main(["fan", "ih", "--input", path, "--cone", "0"]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCoxeterCommand:
     def test_a3_3412(self, capsys):
@@ -300,6 +317,18 @@ class TestKlsCommand:
         assert main(["kls", "--kernel", "eulerian", "--input", path]) == 2
         assert "bad poset JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("rank", [False, True]),
+        ("covers", [[0, True]]),
+    ], ids=["boolean-ranks", "boolean-cover"])
+    def test_boolean_poset_index_exits_2(self, tmp_path, capsys, field, value):
+        # operator.index read False and True as 0 and 1, and exited 0
+        data = {"elements": ["a", "b"], "rank": [0, 1], "covers": [[0, 1]]}
+        data[field] = value
+        path = write(tmp_path, "poset.json", data)
+        assert main(["kls", "--kernel", "eulerian", "--input", path]) == 2
+        assert "expected an integer" in capsys.readouterr().err
+
     def test_coxeter_kernel(self, tmp_path, capsys):
         path = write(tmp_path, "cox.json", {"type": "A2", "w": [1, 2, 1]})
         code = main(["kls", "--kernel", "coxeter", "--input", path])
@@ -327,6 +356,46 @@ class TestKlsCommand:
         path = write(tmp_path, "cox.json", data)
         assert main(["kls", "--kernel", "coxeter", "--input", path]) == 2
         assert "bad word" in capsys.readouterr().err
+
+
+# index fields as malformed JSON writes them: negative and out-of-range
+# ints, booleans, floats and strings, among valid small indices
+_INDICES = st.one_of(
+    st.integers(0, 3),
+    st.integers(-5, 8),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+    st.text("0123-x", max_size=2),
+)
+_RAYS_2D = [[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1]]
+
+
+@st.composite
+def _fuzzed_fans(draw):
+    rays = draw(st.lists(st.sampled_from(_RAYS_2D), min_size=1, max_size=4, unique_by=tuple))
+    cones = draw(st.lists(st.lists(_INDICES, min_size=1, max_size=3), min_size=1, max_size=3))
+    return {"dim": 2, "rays": rays, "max_cones": cones}
+
+
+@st.composite
+def _fuzzed_posets(draw):
+    n = draw(st.integers(1, 4))
+    ranks = draw(st.lists(_INDICES, min_size=n, max_size=n))
+    covers = draw(st.lists(st.lists(_INDICES, min_size=2, max_size=2), max_size=5))
+    return {"elements": [str(i) for i in range(n)], "rank": ranks, "covers": covers}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just(["fan", "ih"]), _fuzzed_fans()),
+    st.tuples(st.just(["kls", "--kernel", "eulerian"]), _fuzzed_posets()),
+))
+def test_fuzzed_index_fields_exit_cleanly(tmp_path_factory, command):
+    """Whatever the index fields of a small fan or poset JSON hold, the CLI
+    answers with an exit code and lets no exception escape."""
+    argv, data = command
+    path = write(tmp_path_factory.mktemp("fuzz"), "input.json", data)
+    assert main(argv + ["--input", path]) in (0, 1, 2, 3)
 
 
 class TestDeterminism:

@@ -12,7 +12,7 @@ from klsc.field import GF, QQ
 from klsc.graded import FreeModuleShape
 from klsc.kls import matroid_kernel, monotonicity_check, solve_kls, z_polynomial
 from klsc.matroids import Matroid, MobiusAlgebra, flats_from_bases, p_trivial_criterion
-from klsc.linalg import RowSpace, kernel_basis
+from klsc.linalg import RowSpace, kernel_basis, rref
 from klsc.matroid_ih import (
     FlatMasks,
     _image,
@@ -714,8 +714,8 @@ def _full_basis_by_loops(sheaf, d):
     F_d, whose residuals modulo N_d agree, and combined entry by entry with
     the field's scalar operations: an independent reference for
     MatroidIHSheaf.annihilator, which reads their annihilators off N_d and
-    the lifts.  It reads _proper[d], so the sweep must have reached degree
-    d.  A single flat's sections are its whole stalk."""
+    the lifts.  It reads F_d and N_d, so the sweep must have reached
+    degree d.  A single flat's sections are its whole stalk."""
     field = sheaf.field
     layout = sheaf.full_layout(d)
     space = RowSpace(field, len(layout))
@@ -724,7 +724,7 @@ def _full_basis_by_loops(sheaf, d):
         return space
     pos = {key: c for c, key in enumerate(layout)}
     proper_layout = sheaf.proper_layout(d)
-    fbasis = sheaf._proper[d].basis()
+    fbasis = sheaf.proper_basis(d)
     active = [gi for gi, gd in enumerate(sheaf.stalk_shapes[0]) if gd <= d]
     nred = sheaf._nspace[d]
     residuals = [nred.reduce(v)[0] for v in fbasis]
@@ -744,14 +744,19 @@ def _full_basis_by_loops(sheaf, d):
     return space
 
 
+def _ints(vectors):
+    return [list(map(int, v)) for v in vectors]
+
+
 class TestFullBasis:
     @pytest.mark.parametrize("p", [0, 2, 3, 65521])
     def test_combination_matches_scalar_loops(self, p):
-        """annihilator(d), combined from N_d and the lifts, is vector for
-        vector the kernel_basis of the global sections solved for entry by
-        entry, for every sheaf a build memoizes and every degree up to its
-        rank + 2, the degrees parents read.  U(1,2) has a rank-0 child and
-        B3 is settled."""
+        """annihilator(d), combined from N_d and the lifts, spans the
+        kernel of the global sections solved for entry by entry, with one
+        vector per dimension: its echelon form is that kernel's
+        kernel_basis, and it has as many vectors.  For every sheaf a build
+        memoizes and every degree up to its rank + 2, the degrees parents
+        read.  U(1,2) has a rank-0 child and B3 is settled."""
         field = GF(p) if p else QQ
         inputs = (
             Matroid.fano(), Matroid.uniform(3, 5), Matroid.uniform(4, 5), _memo_inputs()["K4"](),
@@ -763,10 +768,12 @@ class TestFullBasis:
             for bucket in list(matroid_ih._MEMO.values()):
                 for _, s, _ in bucket:
                     for d in range(s.rank + 3):
-                        got = [list(map(int, v)) for v in s.annihilator(d)]
+                        got = s.annihilator(d)
                         ref = _full_basis_by_loops(s, d)
                         want = kernel_basis(ref.basis(), ref.ncols, field)
-                        assert got == [list(map(int, v)) for v in want], (m, p, s.rank, d)
+                        assert len(got) == len(want), (m, p, s.rank, d)
+                        echelon, _ = rref(got, ref.ncols, field)
+                        assert _ints(echelon) == _ints(want), (m, p, s.rank, d)
 
 
 def _raised(sheaf, vectors, e, d, g):
@@ -792,6 +799,7 @@ def _y_span_of_every_section(sheaf):
     written entry by entry by _raised.  y_G keeps the components at the
     flats above G and raises their degree by rk G."""
     L = sheaf.lattice
+    proper = [sheaf.proper_basis(d) for d in range(sheaf.rank + 2)]
     spans = []
     for d in range(sheaf.rank + 2):
         size = len(sheaf.proper_layout(d))
@@ -799,7 +807,7 @@ def _y_span_of_every_section(sheaf):
         sources = [(d - 1, sheaf.bottom, spans[d - 1].basis())] if d else []
         for g in range(1, len(sheaf.flats)):
             if L.rank[g] <= d:
-                sources.append((d - L.rank[g], g, sheaf._proper[d - L.rank[g]].basis()))
+                sources.append((d - L.rank[g], g, proper[d - L.rank[g]]))
         span = RowSpace(sheaf.field, size)
         for e, g, vectors in sources:
             for w in _raised(sheaf, vectors, e, d, g):
@@ -811,7 +819,7 @@ def _y_span_of_every_section(sheaf):
 
 
 def _rref(space):
-    return [list(map(int, v)) for v in space.basis()]
+    return _ints(space.basis())
 
 
 class TestYSpan:
@@ -836,7 +844,7 @@ class TestYSpan:
                 with_h_f = want[d].copy()
                 with_lifts = want[d].copy()
                 if d:
-                    for w in _raised(s, s._proper[d - 1].basis(), d - 1, d, s.bottom):
+                    for w in _raised(s, s.proper_basis(d - 1), d - 1, d, s.bottom):
                         with_h_f.add(w)
                 for e, v in s._lifts:
                     if e < d:

@@ -51,9 +51,7 @@ def boundary_at(sheaf, x):
     section_of)."""
     mask = sheaf.poset.up[x] & ~(1 << x)
     elems = sheaf._sorted_upper(mask)
-    bases = [
-        sheaf.section_space(mask, d).basis() for d in range(sheaf.bound + 1)
-    ]
+    bases = [sheaf.section_space(mask, d) for d in range(sheaf.bound + 1)]
     view = SectionView(sheaf, elems, bases)
     return view, sheaf.model.boundary(x, view)
 
