@@ -4,14 +4,20 @@ Vectors are plain Python lists, matrices are lists of row vectors; the
 one exception is ``matvec``, whose matrix is row-sparse.
 
 Everything reduces to one workhorse, :class:`RowSpace`, an incrementally
-maintained reduced row echelon basis:
+maintained echelon basis keyed by pivot column:
 
 * add a vector, learn whether it enlarged the span;
-* reduce a vector against the span (one pass, since the basis is kept
-  fully reduced);
+* reduce a vector against the span;
+* read the basis (``basis``, ``rows``) in reduced row echelon form;
 * optionally track, for every basis row, its expression over the vectors
   that were added ("tagged" mode), which is how generator provenance is
   recovered in the sheaf computations.
+
+Untagged, the rows are kept semi-echelon: add stores the reduced vector
+and clears its pivot column from no older row.  Reading the basis clears
+the pivot columns once, last pivot first (back-substitution), so the
+reduced echelon form is paid for per read, not per add.  Tagged rows are
+kept fully reduced, their tags carried along at every add.
 
 ``kernel_basis`` hands out a kernel in the form a RowSpace holding it
 would: reduced echelon rows in increasing pivot order.  Eliminating the
@@ -25,6 +31,11 @@ cleared of denominators on entry, and ``reduce`` divides by the scale it
 accumulated once at the end, so its residual is exactly the one a
 unit-pivot echelon gives.  Integral QQ elements are Python ints
 (klsc.field), so most input vectors are all ints and skip the clearing.
+Untagged QQ rows and the vector being reduced keep only their nonzero
+entries, so a step costs their nonzeros, not ncols.  A primitive reduced
+echelon basis with positive pivots is unique, and so is the residual of
+a vector once the pivot columns are fixed, so the deferred
+back-substitution changes no basis, pivot or residual.
 Over GF(2) every untagged row is one Python int with one byte per
 column, so a reduction step is a single XOR (the packed rows of
 Albrecht, Bard and Hart, ACM TOMS 37, 2010); over GF(p), p > 2, and in
@@ -38,6 +49,7 @@ leftmost nonzero column, so results are deterministic.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from itertools import compress, count
 from math import gcd, lcm
 
@@ -58,15 +70,27 @@ def load_numpy():
 
 
 class RowSpace:
-    """A subspace of field^ncols, stored as a reduced row echelon basis.
+    """A subspace of field^ncols, stored as an echelon basis keyed by pivot
+    column.
 
-    Rows are indexed by pivot column and every pivot column is zero in all
-    other rows, so reducing a vector is a single pass over the stored rows.
-    Over QQ each row is a primitive int list with a positive pivot entry
-    pv, kept with its nonzero (column, entry) pairs; reducing v against it
-    computes pv*v - v[pivot]*row over those pairs only.  Over GF(p) rows
-    have unit pivots and live in _GFRowSpace (XOR-packed ints over GF(2),
-    one int64 matrix otherwise), or, in tagged mode, in _GFTaggedRowSpace.
+    Untagged over QQ, a row is a dict of its nonzero entries (column ->
+    int), primitive with a positive pivot entry pv, and the rows are kept
+    semi-echelon: each is zero before its pivot and in every pivot column
+    that existed when it was added.  Reducing v walks the pivot columns
+    where it is nonzero in increasing order, computing pv*v - v[c]*row
+    over v's and the row's nonzero entries only; a row is zero before its
+    pivot, so each step leaves the lower pivot columns of v clear.  add
+    stores the reduced vector, made primitive, and does nothing else.  The
+    older rows are cleared in the new pivot columns, last pivot first, only
+    when rows or basis reads them, so a run of adds pays for that once and
+    what is read is the reduced echelon form.
+
+    In tagged mode every add clears its new pivot column from the other
+    rows and carries their tags along, so the basis stays fully reduced;
+    a QQ row is a primitive int list kept with its nonzero (column, entry)
+    pairs.  Over GF(p) rows have unit pivots and live in _GFRowSpace
+    (XOR-packed ints over GF(2), one int64 matrix otherwise), or, in tagged
+    mode, in _GFTaggedRowSpace.
     """
 
     def __new__(cls, field, ncols, tagged=False):
@@ -79,17 +103,31 @@ class RowSpace:
     def __init__(self, field, ncols, tagged=False):
         self.field = field
         self.ncols = ncols
-        self.rows = {}  # pivot column -> row vector
+        self._rows = {}  # pivot column -> row (a dict untagged, a list tagged)
         self.tags = {} if tagged else None  # pivot column -> tag dict
-        self._support = {}  # pivot column -> nonzero (column, entry) pairs
+        self._support = {}  # tagged: pivot column -> nonzero (column, entry) pairs
+        self._clean = True  # untagged: every pivot column is zero in the other rows
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self):
+        """Pivot column -> basis row, in reduced echelon form."""
+        if self.tags is not None:
+            return self._rows
+        self._back_substitute()
+        return {c: self._dense(row) for c, row in self._rows.items()}
 
     def basis(self):
         """Basis rows in increasing pivot order, as plain lists."""
-        return [list(self.rows[c]) for c in sorted(self.rows)]
+        rows = self.rows
+        return [list(rows[c]) for c in sorted(rows)]
+
+    def _check_length(self, v):
+        if len(v) != self.ncols:
+            raise ValueError(f"vector of length {len(v)} in a space of {self.ncols} columns")
 
     def reduce(self, v, tag=None):
         """Reduce v modulo the span; returns (residual as a list, tag).
@@ -100,6 +138,7 @@ class RowSpace:
         Both are divided by the elimination's scale once, here, so they
         are linear in v and exact (ints or rationals over QQ).
         """
+        self._check_length(v)
         v, tag, scale = self._reduce_internal(v, tag)
         if scale != 1:
             div = self.field.div
@@ -108,31 +147,116 @@ class RowSpace:
                 tag = {k: div(t, scale) for k, t in tag.items()}
         return list(v), tag
 
+    # -- untagged QQ: sparse semi-echelon rows ----------------------------------------
+
+    def _dense(self, row):
+        v = [0] * self.ncols
+        for j, x in row.items():
+            v[j] = x
+        return v
+
+    def _sparse_reduce(self, v):
+        """(w, s): w = s*v - (a combination of the rows), as a dict of its
+        nonzero int entries, zero in every pivot column, and s > 0.  v is
+        cleared of denominators on entry."""
+        w = dict(compress(enumerate(v), v))
+        scale = 1
+        if not set(map(type, w.values())) <= {int}:
+            ratios = {j: x.as_integer_ratio() for j, x in w.items()}
+            scale = lcm(*{q for _, q in ratios.values()})
+            w = {j: p * (scale // q) for j, (p, q) in ratios.items()}
+        hits = list(w.keys() & self._rows.keys())
+        heapify(hits)
+        w, s = self._eliminate(w, hits)
+        return w, scale * s
+
+    def _eliminate(self, w, hits):
+        """(s*w - (a combination of the rows), s) for the dict w, cleared
+        in the pivot columns on the heap hits, lowest first, and in those
+        the steps bring in.  A step against the row of pivot c computes
+        (pv*w - a*row)/g for a = w[c] and g = gcd(a, pv); it may update w
+        in place."""
+        rows = self._rows
+        scale = 1
+        while hits:
+            c = heappop(hits)
+            a = w.get(c)
+            if a is None:  # cleared by an earlier step
+                continue
+            row = rows[c]
+            pv = row[c]
+            g = gcd(a, pv)
+            if g != pv:
+                m = pv // g
+                w = {j: m * x for j, x in w.items()}
+                scale *= m
+            a //= g
+            get = w.get
+            for j, y in row.items():
+                x = get(j)
+                if x is None:
+                    w[j] = -a * y
+                    if j in rows:
+                        heappush(hits, j)
+                else:
+                    x -= a * y
+                    if x:
+                        w[j] = x
+                    else:
+                        del w[j]
+        return w, scale
+
+    @staticmethod
+    def _primitive(w, pivot):
+        """w divided by its content, with a positive pivot entry."""
+        g = gcd(*w.values())
+        if w[pivot] < 0:
+            g = -g
+        return {j: x // g for j, x in w.items()} if g != 1 else w
+
+    def _back_substitute(self):
+        """Clear each pivot column in the other rows, last pivot first:
+        the rows with later pivots are then reduced already, so a step
+        against one clears its own pivot column and no other."""
+        if self._clean:
+            return
+        rows = self._rows
+        for c in sorted(rows, reverse=True):
+            row = rows[c]
+            hits = [j for j in row if j != c and j in rows]
+            if hits:
+                heapify(hits)
+                rows[c] = self._primitive(self._eliminate(dict(row), hits)[0], c)
+        self._clean = True
+
+    # -- tagged: dense rows, kept fully reduced ----------------------------------------
+
     def _reduce_internal(self, v, tag=None):
         """(w, tag, s) with w = s*v - (a combination of the rows), zero in
         every pivot column, the tag carried along the same way, and s > 0."""
-        rows, tags = self.rows, self.tags
-        v, tag, scale = self._convert(v, None if tags is None else dict(tag or {}))
+        if self.tags is None:
+            w, scale = self._sparse_reduce(v)
+            return self._dense(w), None, scale
+        rows, tags = self._rows, self.tags
+        v, tag, scale = self._convert(v, dict(tag or {}))
         # a step against one row scales v's other pivot entries by a positive
         # pv and leaves zero ones zero, so the rows to use are known upfront
         for c in list(compress(rows, map(v.__getitem__, rows))):
             a, pv = v[c], rows[c][c]
             v = self._combine(pv, v, a, c)
-            if tags is not None:
-                self._tag_combine(pv, tag, a, tags[c])
+            self._tag_combine(pv, tag, a, tags[c])
             scale *= pv
         return v, tag, scale
 
     @staticmethod
     def _convert(v, tag):
         """(d*v, d*tag, d) for the least d > 0 that makes every entry of v
-        and of the tag an int.  The tag is a dict, updated in place, or
-        None.  All-int input, the common case, comes back at once with d = 1."""
-        vals = list(tag.values()) if tag else ()
-        if set(map(type, v)).union(map(type, vals)) <= {int}:
+        and of the tag dict an int; the tag is updated in place.  All-int
+        input, the common case, comes back at once with d = 1."""
+        if set(map(type, v)).union(map(type, tag.values())) <= {int}:
             return list(v), tag, 1
         ratios = [x.as_integer_ratio() for x in v]
-        tag_ratios = [(k, t.as_integer_ratio()) for k, t in tag.items()] if tag else []
+        tag_ratios = [(k, t.as_integer_ratio()) for k, t in tag.items()]
         d = lcm(*{q for _, q in ratios}, *{q for _, (_, q) in tag_ratios})
         for k, (p, q) in tag_ratios:
             tag[k] = p * (d // q)
@@ -171,53 +295,69 @@ class RowSpace:
     @staticmethod
     def _normalise(v, tag, pivot):
         """Divide v by its content, and its tag with it, so that v is
-        primitive with a positive pivot entry.  In tagged mode the content
-        is taken over the tag's entries too, so tags stay integral."""
-        g = gcd(*v, *tag.values()) if tag else gcd(*v)
+        primitive with a positive pivot entry.  The content is taken over
+        the tag's entries too, so tags stay integral."""
+        g = gcd(*v, *tag.values())
         if v[pivot] < 0:
             g = -g
         if g != 1:
             v = [x // g for x in v]
-            if tag:
-                tag = {k: t // g for k, t in tag.items()}
+            tag = {k: t // g for k, t in tag.items()}
         return v, tag
 
     def _store(self, c, row, tag):
-        self.rows[c] = row
+        self._rows[c] = row
         self._support[c] = list(compress(enumerate(row), row))
-        if tag is not None:
-            self.tags[c] = tag
+        self.tags[c] = tag
+
+    # -- both modes ----------------------------------------------------------------------
 
     def add(self, v, tag=None):
         """Add v to the span.  Returns the new pivot column, or None if v
         was already in the span."""
+        self._check_length(v)
+        if self.tags is None:
+            w, _ = self._sparse_reduce(v)
+            if not w:
+                return None
+            pivot = min(w)
+            self._rows[pivot] = self._primitive(w, pivot)
+            self._clean = False
+            return pivot
         v, tag, _ = self._reduce_internal(v, tag)
         pivot = self._first_nonzero(v)
         if pivot is None:
             return None
         v, tag = self._normalise(v, tag, pivot)
         pv = v[pivot]
-        rows, tags = self.rows, self.tags
+        rows, tags = self._rows, self.tags
         hits = [c for c, row in rows.items() if row[pivot]]
         self._store(pivot, v, tag)
         # keep the basis fully reduced: clear the new pivot column everywhere
         for c in hits:
             a = rows[c][pivot]
             row = self._combine(pv, rows[c], a, pivot)
-            if tags is not None:
-                self._tag_combine(pv, tags[c], a, tag)
-            self._store(c, *self._normalise(row, None if tags is None else tags[c], c))
+            self._tag_combine(pv, tags[c], a, tag)
+            self._store(c, *self._normalise(row, tags[c], c))
         return pivot
 
     def contains(self, v):
+        self._check_length(v)
+        if self.tags is None:
+            return not self._sparse_reduce(v)[0]
         res, _, _ = self._reduce_internal(v)
         return self._first_nonzero(res) is None
 
     def copy(self):
         out = RowSpace(self.field, self.ncols, tagged=self.tags is not None)
-        out.rows = {c: r.copy() for c, r in self.rows.items()}
-        out._support = dict(self._support)
-        if self.tags is not None:
+        if self.tags is None:
+            # untagged rows are replaced, never updated in place, so a copy
+            # may share them
+            out._rows = dict(self._rows)
+            out._clean = self._clean
+        else:
+            out._rows = {c: r.copy() for c, r in self._rows.items()}
+            out._support = dict(self._support)
             out.tags = {c: dict(t) for c, t in self.tags.items()}
         return out
 
@@ -235,7 +375,7 @@ class _GFTaggedRowSpace(RowSpace):
         return v, tag, 1
 
     def _combine(self, pv, v, a, c):
-        return (v - int(a) * self.rows[c]) % self.field.p
+        return (v - int(a) * self._rows[c]) % self.field.p
 
     @staticmethod
     def _first_nonzero(v):
@@ -251,7 +391,7 @@ class _GFTaggedRowSpace(RowSpace):
         return (inv * v) % p, {k: inv * t % p for k, t in tag.items()}
 
     def _store(self, c, row, tag):
-        self.rows[c] = row
+        self._rows[c] = row
         self.tags[c] = tag
 
 
@@ -372,6 +512,7 @@ class _GFRowSpace(RowSpace):
         return v, tag, 1
 
     def add(self, v, tag=None):
+        self._check_length(v)
         if self._xor is not None:
             w = self._xor_reduce(self._pack(v))
             if not w:
@@ -408,6 +549,7 @@ class _GFRowSpace(RowSpace):
         return pivot
 
     def contains(self, v):
+        self._check_length(v)
         if self._xor is not None:
             return not self._xor_reduce(self._pack(v))
         res, _, _ = self._reduce_internal(v)

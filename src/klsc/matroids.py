@@ -75,24 +75,34 @@ class Matroid:
         union = 0
         for b in masks:
             union |= b
+        # containing[x]: bit i set when the i-th basis contains x
+        containing = [0] * n
+        for i, b in enumerate(masks):
+            for x in _bits(b):
+                containing[x] |= 1 << i
+        everyone = (1 << len(masks)) - 1
         for b1 in masks:
-            # for each x in b1, the mask of the y with b1 - x + y a basis
-            others = [1 << y for y in _bits(union & ~b1)]
-            swaps = []
+            # b2 passes at x in b1 when x is in b2 or b2 meets a y with
+            # b1 - x + y a basis; fails[x] holds the b2 that pass neither way
+            others = list(_bits(union & ~b1))
+            fails = []
             for x in _bits(b1):
                 rest = b1 ^ (1 << x)
-                ys = 0
+                passing = containing[x]
                 for y in others:
-                    if (rest | y) in bset:
-                        ys |= y
-                swaps.append((x, ys))
-            for b2 in masks:
-                for x, ys in swaps:
-                    if not (b2 >> x & 1 or ys & b2):
-                        raise InvalidInputError(
-                            f"bases violate the exchange axiom at {sorted(_bits(b1))}, "
-                            f"{sorted(_bits(b2))}, element {x}"
-                        )
+                    if (rest | 1 << y) in bset:
+                        passing |= containing[y]
+                if passing != everyone:
+                    fails.append((x, everyone & ~passing))
+            if fails:
+                # the first b2 in input order, then its first x in b1
+                first = min(f & -f for _, f in fails)
+                x = next(x for x, f in fails if f & first)
+                b2 = masks[first.bit_length() - 1]
+                raise InvalidInputError(
+                    f"bases violate the exchange axiom at {sorted(_bits(b1))}, "
+                    f"{sorted(_bits(b2))}, element {x}"
+                )
 
         def rank_fn(s):
             m = _mask(s)
@@ -130,6 +140,8 @@ class Matroid:
         """Matroid of a point configuration: columns of a matrix over an
         exact field; rank = matrix rank of the chosen columns."""
         cols = [[field.parse(c) for c in col] for col in columns]
+        if len({len(col) for col in cols}) > 1:
+            raise InvalidInputError("matrix columns of unequal length")
         n = len(cols)
 
         def rank_fn(s):

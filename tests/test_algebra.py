@@ -3,11 +3,11 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from klsc.errors import (
     InconsistentSystemError,
@@ -287,6 +287,83 @@ def _exact(vec):
     return all(isinstance(x, (int, Fraction)) for x in vec)
 
 
+def _primitive(v, pivot):
+    g = gcd(*v)
+    if v[pivot] < 0:
+        g = -g
+    return [x // g for x in v]
+
+
+class _EagerRowSpace:
+    """The untagged QQ RowSpace as it was before its rows were kept
+    semi-echelon: a reduced echelon basis of primitive int rows with
+    positive pivots, where every add clears its new pivot column from all
+    older rows.  Rows are replaced, never updated in place."""
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.rows = {}
+
+    def _reduce(self, v):
+        d = lcm(*(Fraction(x).denominator for x in v))
+        v = [int(Fraction(x) * d) for x in v]
+        scale = d
+        # the basis is fully reduced, so one pass in any order clears v
+        for c, row in self.rows.items():
+            a, pv = v[c], row[c]
+            if a:
+                v = [pv * x - a * y for x, y in zip(v, row)]
+                scale *= pv
+        return v, scale
+
+    def reduce(self, v):
+        w, scale = self._reduce(v)
+        return [QQ.div(x, scale) for x in w]
+
+    def add(self, v):
+        w, _ = self._reduce(v)
+        pivot = next((c for c, x in enumerate(w) if x), None)
+        if pivot is None:
+            return None
+        w = _primitive(w, pivot)
+        for c, row in self.rows.items():
+            a = row[pivot]
+            if a:
+                self.rows[c] = _primitive([w[pivot] * x - a * y for x, y in zip(row, w)], c)
+        self.rows[pivot] = w
+        return pivot
+
+    def basis(self):
+        return [self.rows[c] for c in sorted(self.rows)]
+
+    def copy(self):
+        out = _EagerRowSpace(self.ncols)
+        out.rows = dict(self.rows)
+        return out
+
+
+_ROWSPACE_OPS = ("add", "add", "add", "contains", "reduce", "dim", "basis", "rows", "copy")
+
+
+@st.composite
+def _rowspace_programs(draw):
+    """(ncols, steps) for a run of RowSpace calls over QQ.  A step is (op,
+    which space, vector, coefficients): with coefficients (a third of the
+    steps) and earlier adds, the vector is instead that combination of the
+    latest added vectors, so vectors in the span are common."""
+    ncols = draw(st.integers(0, 7))
+    entry = st.one_of(
+        st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    )
+    step = st.tuples(
+        st.sampled_from(_ROWSPACE_OPS),
+        st.integers(0, 3),
+        st.lists(entry, min_size=ncols, max_size=ncols),
+        st.one_of(st.just([]), st.just([]), st.lists(st.integers(-2, 2), min_size=1, max_size=3)),
+    )
+    return ncols, draw(st.lists(step, max_size=30))
+
+
 class TestLinalg:
     @given(_qq_systems())
     def test_qq_elimination_matches_fraction_reference(self, system):
@@ -347,6 +424,68 @@ class TestLinalg:
             for v in ker:
                 dot = sum(Fraction(a) * int(b) for a, b in zip(r, v))
                 assert (dot % p if p else dot) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rowspace_programs())
+    def test_qq_rowspace_matches_eager_reference(self, program):
+        """Interleaved add, contains, reduce, dim, basis, rows and copy on
+        the semi-echelon QQ RowSpace give what the eager reference gives:
+        the same pivots, residuals (values and types) and bases.  Copies
+        are taken with back-substitution pending and grow on their own."""
+        ncols, steps = program
+        pairs = [(RowSpace(QQ, ncols), _EagerRowSpace(ncols))]
+        added = []
+        for op, which, vec, coeffs in steps:
+            space, ref = pairs[which % len(pairs)]
+            if coeffs and added:
+                vec = [sum(c * a[j] for c, a in zip(coeffs, reversed(added))) for j in range(ncols)]
+            if op == "add":
+                assert space.add(vec) == ref.add(vec)
+                added.append(vec)
+            elif op == "contains":
+                assert space.contains(vec) == (not any(ref.reduce(vec)))
+            elif op == "reduce":
+                res, tag = space.reduce(vec)
+                expected = ref.reduce(vec)
+                assert res == expected and tag is None
+                assert list(map(type, res)) == list(map(type, expected))
+            elif op == "dim":
+                assert space.dim == len(ref.rows)
+            elif op == "basis":
+                assert space.basis() == ref.basis()
+            elif op == "rows":
+                assert space.rows == ref.rows
+            else:
+                pairs.append((space.copy(), ref.copy()))
+        for space, ref in pairs:
+            assert space.basis() == ref.basis()
+
+    def test_qq_copy_taken_before_back_substitution(self):
+        space = RowSpace(QQ, 4)
+        assert space.add([0, 1, 1, 0]) == 1
+        # the row of pivot 1 keeps its entry in the new pivot column 2
+        assert space.add([0, 0, 2, 2]) == 2
+        copy = space.copy()
+        assert space.add([1, 0, 0, 0]) == 0
+        assert space.basis() == [[1, 0, 0, 0], [0, 1, 0, -1], [0, 0, 1, 1]]
+        assert copy.dim == 2 and not copy.contains([1, 0, 0, 0])
+        assert copy.add([0, 0, 0, 3]) == 3
+        assert copy.basis() == [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        assert space.basis() == [[1, 0, 0, 0], [0, 1, 0, -1], [0, 0, 1, 1]]
+
+    @pytest.mark.parametrize("tagged", [False, True])
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=["QQ", "GF2", "GF5"])
+    def test_rowspace_refuses_a_vector_of_the_wrong_length(self, field, tagged):
+        space = RowSpace(field, 3, tagged=tagged)
+        space.add([1, 0, 1])
+        for v in ([1, 0], [1, 0, 1, 1], np.array([1, 1]), np.array([0, 1, 1, 0])):
+            with pytest.raises(ValueError):
+                space.add(v)
+            with pytest.raises(ValueError):
+                space.reduce(v)
+            with pytest.raises(ValueError):
+                space.contains(v)
+        assert space.dim == 1
 
     def test_qq_reduce_is_linear(self):
         # pivot entries 6 and 3, so reduction scales and divides back

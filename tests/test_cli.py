@@ -91,6 +91,18 @@ class TestMatroidCommand:
         assert main(["matroid", "kl", "--input", path]) == 2
         assert "bad matroid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[1, 0], [0, 1, 1]], [[1, 0, 5], [0, 1], [1, 1]]],
+        ids=["long-last-column", "short-middle-column"],
+    )
+    def test_ragged_matrix_exits_2(self, tmp_path, capsys, matrix):
+        # the first was computed as if the columns were padded, the second
+        # crashed in the elimination
+        path = write(tmp_path, "bad.json", {"matrix": matrix})
+        assert main(["matroid", "kl", "--input", path]) == 2
+        assert "unequal length" in capsys.readouterr().err
+
     def test_char_p_comparison_does_not_solve_the_recursion(self, tmp_path, capsys, monkeypatch):
         def refuse(kernel):
             raise AssertionError("the recursion is characteristic 0 only")

@@ -5,6 +5,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from klsc import matroid_ih
 from klsc.errors import InvalidInputError, TruncationBoundError
@@ -32,6 +33,31 @@ from itertools import combinations, permutations
 from math import comb
 
 
+def _first_exchange_violation(n, bases):
+    """The first (b1, b2, x) in input order with x in b1 - b2 and no y in
+    b2 - b1 making b1 - x + y a basis: the exchange check as the triple
+    loop it replaced, the reference for Matroid.from_bases."""
+    sets = [frozenset(b) for b in bases]
+    for b1 in sets:
+        for b2 in sets:
+            for x in sorted(b1 - b2):
+                if not any(b1 - {x} | {y} in sets for y in b2 - b1):
+                    return sorted(b1), sorted(b2), x
+    return None
+
+
+@st.composite
+def _equal_size_families(draw):
+    """(n, bases): 1-8 subsets of one size k of {0, ..., n-1}, n <= 6,
+    repeats allowed, each in a drawn element order.  Most are not the
+    bases of a matroid."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, n))
+    subsets = st.sampled_from(list(combinations(range(n), k)))
+    family = draw(st.lists(subsets, min_size=1, max_size=8))
+    return n, [draw(st.permutations(b)) for b in family]
+
+
 class TestConstruction:
     def test_u34_from_bases(self):
         m = flats_from_bases(4, [list(b) for b in combinations(range(4), 3)])
@@ -57,6 +83,21 @@ class TestConstruction:
         with pytest.raises(InvalidInputError) as exc:
             Matroid.from_bases(6, [[5, 4, 3], [0, 1, 2]])
         assert str(exc.value) == "bases violate the exchange axiom at [3, 4, 5], [0, 1, 2], element 3"
+
+    @given(_equal_size_families())
+    def test_exchange_check_matches_triple_loop(self, family):
+        n, bases = family
+        violation = _first_exchange_violation(n, bases)
+        if violation is None:
+            try:
+                Matroid.from_bases(n, bases)
+            except InvalidInputError as exc:  # a loop, say
+                assert "exchange" not in str(exc)
+            return
+        b1, b2, x = violation
+        with pytest.raises(InvalidInputError) as exc:
+            Matroid.from_bases(n, bases)
+        assert str(exc.value) == f"bases violate the exchange axiom at {b1}, {b2}, element {x}"
 
     def test_loop_rejected(self):
         with pytest.raises(InvalidInputError):
