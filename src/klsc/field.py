@@ -100,8 +100,9 @@ class Rationals:
         return f"{num}/{den}"
 
     def parse(self, s):
-        """Parse "p/q" or "p" (also accepts ints)."""
-        if isinstance(s, int):
+        """Parse "p/q" or "p" (also accepts ints, but not booleans, which
+        read_int refuses too)."""
+        if isinstance(s, int) and not isinstance(s, bool):
             return int(s)
         if isinstance(s, str):
             s = s.strip()

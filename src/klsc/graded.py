@@ -2,11 +2,13 @@
 
 A graded module is stored one half-degree at a time: an ambient coordinate
 space, a basis of the realized subspace, and for each ring variable the
-degree-raising map on ambient coordinates, kept row-sparse (per target
-coordinate, the nonzero (column, coefficient) pairs), since multiplying by
-a variable touches only a few monomials.  The one nontrivial operation
-is minimal generator extraction: the multiset of degrees in which the
-module needs generators, i.e. the shape of its minimal free cover,
+degree-raising map on ambient coordinates, kept column-sparse (per source
+coordinate, the nonzero (row, coefficient) pairs of its image), since
+multiplying by a variable touches only a few monomials; raising a vector
+then costs its nonzeros, not the target's dimension.  The one nontrivial
+operation is minimal generator extraction: the multiset of degrees in
+which the module needs generators, i.e. the shape of its minimal free
+cover,
 
     gens in degree i  =  dim M_i - dim( sum_v  v * M_{i-1} ).
 
@@ -90,9 +92,10 @@ class GradedModule:
     ambient_dims : list of ambient coordinate dimensions, length D+1
     bases : per degree, a list of basis vectors of the realized subspace
     raising : raising[v][i] is multiplication by variable v from ambient
-        degree i to i+1, as ambient_dims[i+1] sparse rows: raising[v][i][r]
-        lists the (c, coefficient) pairs, c < ambient_dims[i], with a
-        nonzero coefficient of coordinate c in output coordinate r
+        degree i to i+1, as ambient_dims[i] sparse columns: raising[v][i][c]
+        lists the (r, coefficient) pairs, r < ambient_dims[i+1], with a
+        nonzero coefficient of output coordinate r in the image of
+        coordinate c
     """
 
     def __init__(self, field, nvars, bound, ambient_dims, bases, raising):
@@ -113,7 +116,7 @@ class GradedModule:
 
     def apply_raising(self, v, i, vec):
         """Multiply the degree-i ambient vector by variable v."""
-        return matvec(self.raising[v][i], vec, self.field)
+        return matvec(self.raising[v][i], vec, self.field, self.ambient_dims[i + 1])
 
     def raised_span(self, i):
         """Span of sum_v v * M_{i-1} inside ambient degree i."""
@@ -190,15 +193,16 @@ def free_graded_module(field, nvars, shape: FreeModuleShape, bound) -> GradedMod
             v[pos] = field.from_int(1)
             eye.append(v)
         bases.append(eye)
-    raising = []
-    for var in range(nvars):
-        mats = []
-        for i in range(bound):
-            # a variable maps each monomial to one monomial: a partial permutation
-            rows = [[] for _ in layout[i + 1]]
-            for pos, (gi, m) in enumerate(layout[i]):
-                e = m[:var] + (m[var] + 1,) + m[var + 1 :]
-                rows[index[i + 1][(gi, e)]].append((pos, field.from_int(1)))
-            mats.append(rows)
-        raising.append(mats)
+    # a variable maps each monomial to one monomial: one entry per column
+    one = field.from_int(1)
+    raising = [
+        [
+            [
+                [(index[i + 1][(gi, m[:var] + (m[var] + 1,) + m[var + 1 :])], one)]
+                for gi, m in layout[i]
+            ]
+            for i in range(bound)
+        ]
+        for var in range(nvars)
+    ]
     return GradedModule(field, nvars, bound, ambient_dims, bases, raising)

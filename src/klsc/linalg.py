@@ -1,7 +1,9 @@
 """Exact dense linear algebra over a scalar field.
 
 Vectors are plain Python lists, matrices are lists of row vectors; the
-one exception is ``matvec``, whose matrix is row-sparse.
+one exception is ``matvec``, whose matrix is column-sparse: per column,
+its nonzero (row, coefficient) pairs, so a product reads only the
+columns where the input vector is nonzero.
 
 Everything reduces to one workhorse, :class:`RowSpace`, an incrementally
 maintained echelon basis keyed by pivot column:
@@ -640,16 +642,14 @@ def solve_linear(rows, b, field):
     return x
 
 
-def matvec(rows, x, field):
-    """The product A x of a row-sparse matrix, each row a list of its
-    nonzero (column, coefficient) pairs, with a dense vector."""
-    out = []
-    for r in rows:
-        acc = field.zero
-        for c, a in r:
-            b = x[c]
-            if b:
-                acc = field.add(acc, field.mul(a, b))
-        out.append(acc)
+def matvec(cols, x, field, nrows):
+    """The product A x of a column-sparse matrix with nrows rows, each
+    column a list of its nonzero (row, coefficient) pairs, with a dense
+    vector.  Only the nonzero entries of x are read, so the product costs
+    the entries of A in the columns where x is nonzero."""
+    out = [field.zero] * nrows
+    for col, b in zip(cols, x):
+        if b:
+            for r, a in col:
+                out[r] = field.add(out[r], field.mul(a, b))
     return out
-

@@ -692,22 +692,19 @@ class MatroidLocalModel:
         raising = [[]]
         for d in range(bound):
             h = view.sheaf.raising(view.elems, d, lambda y: [field.from_int(1)])
-            rows = [[] for _ in range(ambient_dims[d + 1])]
-            for j, v in enumerate(reps[d]):
-                qc = to_quotient_coords(matvec(h, v, field), d + 1)
-                for r, a in enumerate(qc):
-                    if not field.is_zero(a):
-                        rows[r].append((j, a))
-            raising[0].append(rows)
+            cols = []
+            for v in reps[d]:
+                qc = to_quotient_coords(matvec(h, v, field, len(layouts[d + 1])), d + 1)
+                cols.append([(r, a) for r, a in enumerate(qc) if not field.is_zero(a)])
+            raising[0].append(cols)
         module = GradedModule(field, 1, bound, ambient_dims, bases, raising)
         # res takes quotient coordinates: its kernel is N_d, and the
         # representatives lift the module's coordinate vectors
         kernel = [nspaces[d].basis() for d in range(bound + 1)]
-        rep_rows = [
-            [[(j, v[c]) for j, v in enumerate(reps[d]) if v[c]] for c in range(len(layouts[d]))]
-            for d in range(bound + 1)
+        rep_cols = [
+            [[(c, a) for c, a in enumerate(v) if a] for v in reps[d]] for d in range(bound + 1)
         ]
-        return module, kernel, lambda d, v: matvec(rep_rows[d], v, field)
+        return module, kernel, lambda d, v: matvec(rep_cols[d], v, field, len(layouts[d]))
 
 
 def build_matroid_sheaf_generic(matroid: Matroid, field=QQ):

@@ -21,6 +21,12 @@ of ``kernel[d]``, and the functionals cutting these sections out of the
 coordinates (x block, then {y > x}) are, for each phi in the kernel of
 ``kernel[d]``, the vector -phi . section_of(psi(m)) over the monomial basis
 m of M_x, followed by phi.  No system is solved for the sections at x.
+Each functional is stored sparse, as the (position, value) pairs of its
+nonzero entries, and the products phi . section_of(psi(m)) are taken one
+psi image at a time against the phis' transposed supports, so they cost
+the image's nonzeros.  When ``kernel[d]`` is empty (res is injective, as
+for fans) the phis are the unit functionals, and no identity matrix is
+built for them.
 
 Sections over an upper set Q are represented concretely by their
 localization coordinates: a section is the tuple of its stalk components,
@@ -35,8 +41,9 @@ There is no uniform recipe for the boundary module; each instantiation
 (fans, matroid lattices) supplies its own through the LocalModel hooks.
 What they share is the ring action: multiplication by a linear form on
 localization coordinates is built in one place, ``PosetSheaf.raising``,
-as sparse rows.  Local models use it for the raising maps of their
-boundary modules, and ``sections_shape`` for the ambient ring.
+as sparse columns, so that raising a vector costs its nonzeros.  Local
+models use it for the raising maps of their boundary modules, and
+``sections_shape`` for the ambient ring.
 """
 
 from __future__ import annotations
@@ -76,7 +83,8 @@ class PosetSheaf:
         self.field = model.field
         self.bound = bound
         self.stalks = {}  # element -> list of generator degrees
-        # element -> per degree: functionals cutting S_x out of P_x coords
+        # element -> per degree: functionals cutting S_x out of P_x coords,
+        # each a list of its nonzero (position, value) pairs
         self.annihilators = {}
 
     # -- coordinates -------------------------------------------------------------
@@ -104,7 +112,9 @@ class PosetSheaf:
     def section_space(self, mask, degree):
         """Basis of F(Q) at the given degree, Q the upper set of the mask:
         the kernel of the annihilators at Q's minimal elements, in the
-        reduced echelon form kernel_basis hands out."""
+        reduced echelon form kernel_basis hands out; each annihilator's
+        pairs are scattered through the positions of its element's
+        coordinates in Q's layout."""
         elems = self._sorted_upper(mask)
         layout = self.layout(elems, degree)
         pos = {key: c for c, key in enumerate(layout)}
@@ -115,8 +125,8 @@ class PosetSheaf:
             positions = [pos[key] for key in sub_layout]
             for func in self.annihilators[y][degree]:
                 row = [self.field.zero] * len(layout)
-                for c, val in zip(positions, func):
-                    row[c] = val
+                for c, val in func:
+                    row[positions[c]] = val
                 rows.append(row)
         return kernel_basis(rows, len(layout), self.field)
 
@@ -126,18 +136,22 @@ class PosetSheaf:
 
     def raising(self, elems, degree, form_of):
         """Multiplication by a linear form on the localization coordinates
-        over elems, from the given degree to the next, as sparse rows in the
-        format of GradedModule.raising; form_of(y) is the form in the
-        variables of R_y."""
+        over elems, from the given degree to the next, as sparse columns in
+        the format of GradedModule.raising; form_of(y) is the form in the
+        variables of R_y.  Column (y, gi, m) holds the coefficients of
+        m * form_of(y)."""
         field = self.field
-        target = {key: c for c, key in enumerate(self.layout(elems, degree + 1))}
-        rows = [[] for _ in target]
-        for c, (y, gi, m) in enumerate(self.layout(elems, degree)):
-            for j, coeff in enumerate(form_of(y)):
-                if not field.is_zero(coeff):
-                    e = m[:j] + (m[j] + 1,) + m[j + 1 :]
-                    rows[target[(y, gi, e)]].append((c, coeff))
-        return rows
+        target = {key: r for r, key in enumerate(self.layout(elems, degree + 1))}
+        cols = []
+        for y, gi, m in self.layout(elems, degree):
+            cols.append(
+                [
+                    (target[(y, gi, m[:j] + (m[j] + 1,) + m[j + 1 :])], coeff)
+                    for j, coeff in enumerate(form_of(y))
+                    if not field.is_zero(coeff)
+                ]
+            )
+        return cols
 
     def sections_shape(self, upper: UpperSet) -> FreeModuleShape:
         """Minimal generator degrees of F(Q) over the ambient ring."""
@@ -225,6 +239,7 @@ def _attach(sheaf: PosetSheaf, x, top_rank, enforce):
     sheaf.stalks[x] = degrees
 
     nx = model.nvars(x)
+    one = field.from_int(1)
     annihilators = []
     psi = {}
     for d in range(sheaf.bound + 1):
@@ -243,11 +258,29 @@ def _attach(sheaf: PosetSheaf, x, top_rank, enforce):
                     psi[(gi, m)] = bmod.apply_raising(v, d - 1, prev[(gi, down)])
 
         # annihilators of the pairs (m, section_of(psi(m)) + k), k in the
-        # span of kernel[d] (module docstring)
-        phis = kernel_basis(kernel[d], len(view.layout(d)), field)
-        supports = [[(c, a) for c, a in enumerate(phi) if a] for phi in phis]
-        heads = [matvec(supports, section_of(d, mv), field) for mv in psi.values()]
+        # span of kernel[d] (module docstring): for each phi, its values
+        # -phi . section_of(psi(m)) on the x block, then phi itself, as
+        # (position, value) lists over layout([x] + elems, d)
+        n = len(view.layout(d))
+        if kernel[d]:
+            phis = kernel_basis(kernel[d], n, field)
+            supports = [[(c, a) for c, a in enumerate(phi) if a] for phi in phis]
+        else:
+            # the phis are the unit functionals, kernel_basis's identity,
+            # which is read only through these supports
+            supports = [[(c, one)] for c in range(n)]
+        columns = [[] for _ in range(n)]
+        for i, support in enumerate(supports):
+            for c, a in support:
+                columns[c].append((i, a))
+        funcs = [[] for _ in supports]
+        for k, mv in enumerate(psi.values()):
+            heads = matvec(columns, section_of(d, mv), field, len(supports))
+            for func, h in zip(funcs, heads):
+                if h:
+                    func.append((k, field.neg(h)))
+        offset = len(psi)
         annihilators.append(
-            [[field.neg(h[i]) for h in heads] + list(phi) for i, phi in enumerate(phis)]
+            [func + [(offset + c, a) for c, a in sup] for func, sup in zip(funcs, supports)]
         )
     sheaf.annihilators[x] = annihilators

@@ -558,9 +558,38 @@ class TestLinalg:
         assert kernel_basis(eye, 3, QQ) == []
 
     def test_matvec_reads_sparse_rows(self):
-        rows = [[(0, QQ.from_int(2)), (2, QQ.parse("1/2"))], [], [(1, QQ.from_int(-1))]]
+        # the columns of [[2, 0, 1/2], [0, 0, 0], [0, -1, 0]]
+        cols = [[(0, QQ.from_int(2))], [(2, QQ.from_int(-1))], [(0, QQ.parse("1/2"))]]
         x = [QQ.from_int(3), QQ.zero, QQ.from_int(4)]
-        assert matvec(rows, x, QQ) == [QQ.from_int(8), QQ.zero, QQ.zero]
+        assert matvec(cols, x, QQ, 3) == [QQ.from_int(8), QQ.zero, QQ.zero]
+        assert matvec([[], []], [QQ.from_int(1), QQ.from_int(2)], QQ, 2) == [QQ.zero, QQ.zero]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_column_matvec_matches_the_dense_product(self, data):
+        """matvec on the nonzero columns of a random, mostly zero matrix
+        equals the product straight from the definition: over QQ with int
+        and Fraction entries, over GF(p) with int64 input vectors as the
+        GF(p) bases hand them out."""
+        p = data.draw(st.sampled_from([0, 2, 3, 65521]))
+        F = GF(p) if p else QQ
+        if p:
+            entry = st.integers(1, p - 1)
+        else:
+            entry = st.one_of(
+                st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+            )
+        entry = st.one_of(st.just(F.zero), st.just(F.zero), entry)
+        nrows, ncols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+        dense = [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+        x = [data.draw(entry) for _ in range(ncols)]
+        if p and data.draw(st.booleans()):
+            x = np.array(x, dtype=np.int64)
+        cols = [[(r, dense[r][c]) for r in range(nrows) if dense[r][c]] for c in range(ncols)]
+        got = matvec(cols, x, F, nrows)
+        want = dense_matvec(dense, x, F)
+        assert len(got) == nrows
+        assert all(F.eq(a, b) for a, b in zip(got, want)), (got, want)
 
     def test_kernel_over_gf2_matches_enumeration(self):
         # kernel of [[1, -1]] over GF(2), oracle = enumerate all of GF(2)^2

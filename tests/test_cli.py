@@ -91,6 +91,12 @@ class TestMatroidCommand:
         assert main(["matroid", "kl", "--input", path]) == 2
         assert "bad matroid JSON" in capsys.readouterr().err
 
+    def test_boolean_matrix_entry_exits_2(self, tmp_path, capsys):
+        # true was read as 1, and the identity matrix's answer printed
+        path = write(tmp_path, "bad.json", {"matrix": [[True, 0], [0, 1]]})
+        assert main(["matroid", "kl", "--input", path]) == 2
+        assert "cannot parse rational from True" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "matrix",
         [[[1, 0], [0, 1, 1]], [[1, 0, 5], [0, 1], [1, 1]]],
@@ -193,6 +199,12 @@ class TestFanCommand:
         code = main(["fan", "ih", "--input", path, "--cone", "0"])
         assert code == 0
         capsys.readouterr()
+
+    def test_boolean_vertex_coordinate_exits_2(self, tmp_path, capsys):
+        # false and true were read as the segment [0, 1]
+        path = write(tmp_path, "bad.json", {"polytope_vertices": [[False], [True]]})
+        assert main(["fan", "g", "--input", path]) == 2
+        assert "cannot parse rational from False" in capsys.readouterr().err
 
     def test_non_integer_dimension_exits_2(self, tmp_path, capsys):
         data = {"dim": "x", "rays": [[1, 0]], "max_cones": [[0]]}

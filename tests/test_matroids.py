@@ -750,7 +750,7 @@ class TestClosureFromBases:
             assert m.lattice().covers == oracle.lattice().covers
 
 
-def _full_basis_by_loops(sheaf, d):
+def _annihilator_kernel_by_loops(sheaf, d):
     """The global sections at degree d, solved for as the pairs (m, s), s in
     F_d, whose residuals modulo N_d agree, and combined entry by entry with
     the field's scalar operations: an independent reference for
@@ -789,7 +789,7 @@ def _ints(vectors):
     return [list(map(int, v)) for v in vectors]
 
 
-class TestFullBasis:
+class TestAnnihilator:
     @pytest.mark.parametrize("p", [0, 2, 3, 65521])
     def test_combination_matches_scalar_loops(self, p):
         """annihilator(d), combined from N_d and the lifts, spans the
@@ -810,7 +810,7 @@ class TestFullBasis:
                 for _, s, _ in bucket:
                     for d in range(s.rank + 3):
                         got = s.annihilator(d)
-                        ref = _full_basis_by_loops(s, d)
+                        ref = _annihilator_kernel_by_loops(s, d)
                         want = kernel_basis(ref.basis(), ref.ncols, field)
                         assert len(got) == len(want), (m, p, s.rank, d)
                         echelon, _ = rref(got, ref.ncols, field)

@@ -24,7 +24,7 @@ from klsc.matroid_ih import MatroidLocalModel, build_matroid_sheaf_generic
 from klsc.poset import UpperSet
 from klsc.poly import MultiPoly, UniPoly, monomials
 from klsc.sheaf import SectionView, build_sheaf
-from klsc.validate import PRISM, PYRAMID, SQUARE, simplex
+from klsc.validate import CUBE, PRISM, PYRAMID, SQUARE, simplex
 
 SQUARE_CONE_RAYS = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
 
@@ -33,6 +33,7 @@ FANS = {
     "square": lambda: cone_over_polytope(SQUARE),
     "pyramid": lambda: cone_over_polytope(PYRAMID),
     "prism": lambda: cone_over_polytope(PRISM),
+    "cube": lambda: cone_over_polytope(CUBE),
     "four-orthant": lambda: Fan.from_max_cones(
         2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (1, 2), (2, 3), (3, 0)]
     ),
@@ -60,6 +61,17 @@ def boundary_module_at_bottom(poset, sheaf):
     """Re-derive the boundary module the engine built at the bottom."""
     _, (module, _, _) = boundary_at(sheaf, poset.bottom())
     return module
+
+
+def dense_functionals(funcs, ncols):
+    """The annihilators' sparse (position, value) lists as dense rows."""
+    out = []
+    for func in funcs:
+        row = [QQ.zero] * ncols
+        for c, a in func:
+            row[c] = a
+        out.append(row)
+    return out
 
 
 def fan_sections_by_kernel_solve(sheaf, x, d):
@@ -142,7 +154,7 @@ class TestAnnihilators:
             elems = sheaf._sorted_upper(poset.up[x])
             for d in range(sheaf.bound + 1):
                 n = len(sheaf.layout(elems, d))
-                got = sheaf.annihilators[x][d]
+                got = dense_functionals(sheaf.annihilators[x][d], n)
                 if poset.up[x] == 1 << x:
                     assert got == []
                     continue
@@ -189,13 +201,14 @@ class TestRaising:
             return sheaf.model.ambient_var_form(y, 2)
 
         for d in range(sheaf.bound):
-            rows = sheaf.raising(elems, d, form_of)
+            cols = sheaf.raising(elems, d, form_of)
             target = sheaf.layout(elems, d + 1)
-            assert len(rows) == len(target)
+            assert len(cols) == len(sheaf.layout(elems, d))
             for c, (y, gi, m) in enumerate(sheaf.layout(elems, d)):
                 n = sheaf.model.nvars(y)
                 prod = MultiPoly(QQ, n, {m: QQ.one}) * MultiPoly.linear_form(QQ, form_of(y))
-                column = {r: a for r, row in enumerate(rows) for cc, a in row if cc == c}
+                column = dict(cols[c])
+                assert len(column) == len(cols[c])
                 assert column == {
                     target.index((y, gi, e)): a for e, a in prod.terms.items()
                 }
