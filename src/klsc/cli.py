@@ -8,20 +8,23 @@ matroid   KL- and Z-polynomials of matroids, over QQ or GF(p)
 coxeter   KL-polynomials of Bruhat intervals via the moment-graph sheaf
 validate  run the desk validation suite
 
-All configuration is by flags; reports are JSON (deterministic up to the
-timings field) with --pretty for a human-readable table.  Exit codes:
-0 success, 1 a check or route comparison failed, 2 malformed input,
-3 a compute limit was hit (a truncation or degree bound; stderr starts
-with "compute limit:").
+All configuration is by flags, read by one table (COMMANDS) that also
+prints --help.  Flags are spelled in full, as --name value or --name=value;
+argparse's abbreviations (--all for --all-flats) are refused.  Reports are
+JSON (deterministic up to the timings field) with --pretty for a
+human-readable table.  Exit codes: 0 success, 1 a check or route comparison
+failed, 2 malformed input or a usage error, 3 a compute limit was hit (a
+truncation or degree bound; stderr starts with "compute limit:").
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
+import re
 import sys
 import time
+import types
 
 from klsc.coxeter import (
     CartanDatum,
@@ -120,7 +123,10 @@ def _parse_pair(spec, poset):
         ]
     for left, right in candidates:
         if left in poset.names and right in poset.names:
-            return poset.names.index(left), poset.names.index(right)
+            x, y = poset.names.index(left), poset.names.index(right)
+            if not poset.leq(x, y):
+                raise _InputError(f"bad --pair {spec!r}: {left} is not below {right}")
+            return x, y
     raise _InputError(f"bad --pair {spec!r}: element names not found")
 
 
@@ -141,11 +147,14 @@ def _parse_word(spec, group):
 
 def _emit(report, args):
     text = json.dumps(report, sort_keys=True, indent=2)
-    if getattr(args, "pretty", False):
+    if args.pretty:
         text = _pretty(report)
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+    if args.output:
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise _InputError(f"cannot write report {args.output}: {exc}") from exc
     else:
         print(text)
 
@@ -198,7 +207,7 @@ def _cmd_kls(args):
         interval = enumerate_interval(group, v, w)
         poset = interval.poset
         kernel = coxeter_R_kernel(interval)
-    else:  # pragma: no cover - argparse restricts choices
+    else:  # pragma: no cover - the flag table restricts --kernel
         raise _InputError(f"unknown kernel {args.kernel}")
 
     ok, witness = verify_kernel(kernel)
@@ -375,70 +384,203 @@ def _cmd_validate(args):
     return report.to_json(), 0 if report.passed else 1
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="klsc",
-        description="KLS-polynomials by kernel recursion and by sheaves on posets",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("kls", help="solve the kernel recursion")
-    p.add_argument("--kernel", choices=["eulerian", "matroid", "coxeter"], required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--pair", help="restrict output to one pair, e.g. 'x,y' by element name")
-    _common_flags(p)
-    p.set_defaults(fn=_cmd_kls)
-
-    p = sub.add_parser("fan", help="fans and polytopes")
-    p.add_argument("action", choices=["g", "ih"])
-    p.add_argument("--input", required=True)
-    p.add_argument("--cone", type=int, help="cone index for 'ih'")
-    _common_flags(p)
-    p.set_defaults(fn=_cmd_fan)
-
-    p = sub.add_parser("matroid", help="matroid KL- and Z-polynomials")
-    p.add_argument("action", choices=["kl", "z"])
-    p.add_argument("--input", required=True)
-    p.add_argument("--all-flats", action="store_true")
-    _field_flags(p)
-    _common_flags(p)
-    p.set_defaults(fn=_cmd_matroid)
-
-    p = sub.add_parser("coxeter", help="Kazhdan-Lusztig polynomials of intervals")
-    p.add_argument("action", choices=["kl"])
-    p.add_argument("--type", help="Cartan type, e.g. A3")
-    p.add_argument("--cartan", help="Cartan matrix as JSON, e.g. '[[2,-1],[-1,2]]'")
-    p.add_argument("--w", required=True, help="word '1,2,1', permutation '3412', or 'e'")
-    p.add_argument("--v", default="e")
-    p.add_argument("--degree-bound", type=int, default=None)
-    _field_flags(p)
-    _common_flags(p)
-    p.set_defaults(fn=_cmd_coxeter)
-
-    p = sub.add_parser("validate", help="run the validation suite")
-    p.add_argument("--suite", default="desk")
-    p.add_argument("--quiet", action="store_true")
-    _common_flags(p)
-    p.set_defaults(fn=_cmd_validate)
-    return parser
+# -- the command line -------------------------------------------------------------
 
 
-def _field_flags(p):
-    """Flags of the sheaf commands that take a field and a second route."""
-    p.add_argument("--char", type=int, default=0, help="0 for QQ, a prime p < 2^25 for GF(p)")
-    p.add_argument("--compare-recursion", action="store_true")
+def _flag(kind="str", default=None, *, required=False, choices=None, help=""):
+    """One flag of the table.  kind is "str", "int" (read with int()) or
+    "switch" (takes no value; False unless given)."""
+    return kind, False if kind == "switch" else default, required, choices, help
 
 
-def _common_flags(p):
-    p.add_argument("--output", help="write the report to a file")
-    p.add_argument("--pretty", action="store_true", help="human-readable output")
+_OUTPUT_FLAGS = {
+    "--output": _flag(help="write the report to a file"),
+    "--pretty": _flag("switch", help="human-readable output"),
+}
+# the sheaf commands that take a field and a second route
+_FIELD_FLAGS = {
+    "--char": _flag("int", 0, help="0 for QQ, a prime p < 2^25 for GF(p)"),
+    "--compare-recursion": _flag(
+        "switch", help="also solve the kernel recursion and check that both routes agree"
+    ),
+}
+
+# command: (help line, action choices, flags, handler)
+COMMANDS = {
+    "kls": ("solve the kernel recursion", (), {
+        "--kernel": _flag(required=True, choices=("eulerian", "matroid", "coxeter"),
+                          help="the kernel, which also fixes how --input is read"),
+        "--input": _flag(required=True, help="poset, matroid or Coxeter JSON"),
+        "--pair": _flag(help="restrict output to one pair, e.g. 'x,y' by element name"),
+        **_OUTPUT_FLAGS,
+    }, _cmd_kls),
+    "fan": ("fans and polytopes", ("g", "ih"), {
+        "--input": _flag(required=True, help="fan or polytope JSON"),
+        "--cone": _flag("int", help="cone index for 'ih'"),
+        **_OUTPUT_FLAGS,
+    }, _cmd_fan),
+    "matroid": ("matroid KL- and Z-polynomials", ("kl", "z"), {
+        "--input": _flag(required=True, help="matroid JSON"),
+        "--all-flats": _flag("switch", help="also report the stalk at every flat"),
+        **_FIELD_FLAGS,
+        **_OUTPUT_FLAGS,
+    }, _cmd_matroid),
+    "coxeter": ("Kazhdan-Lusztig polynomials of intervals", ("kl",), {
+        "--type": _flag(help="Cartan type, e.g. A3"),
+        "--cartan": _flag(help="Cartan matrix as JSON, e.g. '[[2,-1],[-1,2]]'"),
+        "--w": _flag(required=True, help="word '1,2,1', permutation '3412', or 'e'"),
+        "--v": _flag(default="e", help="lower end of the interval, written as --w"),
+        "--degree-bound": _flag("int", help="truncation degree of the moment-graph sheaf"),
+        **_FIELD_FLAGS,
+        **_OUTPUT_FLAGS,
+    }, _cmd_coxeter),
+    "validate": ("run the validation suite", (), {
+        "--suite": _flag(default="desk", help="the suite to run: desk"),
+        "--quiet": _flag("switch", help="do not log the criteria as they run"),
+        **_OUTPUT_FLAGS,
+    }, _cmd_validate),
+}
+_HELP_FLAGS = ("-h", "--help")
+# argparse's test for a negative number, which is a value and not a flag
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _dest(name):
+    return name[2:].replace("-", "_")
+
+
+def _reads_as_flag(token, flags):
+    """Whether argparse would read token as a flag rather than as a value:
+    it starts with '-', and it names a flag (or a prefix of one, which
+    argparse would expand) or is not a negative number and has no space."""
+    if len(token) < 2 or token[0] != "-":
+        return False
+    head = token.split("=", 1)[0] if token[1] == "-" else token[:2]
+    if any(name.startswith(head) for name in (*_HELP_FLAGS, *flags)):
+        return True
+    return not _NEGATIVE_NUMBER.match(token) and " " not in token
+
+
+def _usage(command):
+    if command is None:
+        return "usage: klsc {" + ",".join(COMMANDS) + "} ..."
+    _, actions, flags, _ = COMMANDS[command]
+    parts = ["usage: klsc", command]
+    if actions:
+        parts.append("{" + ",".join(actions) + "}")
+    for name, (kind, _, required, choices, _) in flags.items():
+        if kind != "switch":
+            name += " {" + ",".join(choices) + "}" if choices else " " + _dest(name).upper()
+        parts.append(name if required else f"[{name}]")
+    return " ".join(parts)
+
+
+def _help(command):
+    if command is None:
+        lines = [_usage(None), "",
+                 "KLS-polynomials by kernel recursion and by sheaves on posets.", "",
+                 "commands:"]
+        lines += [f"  {name:<10}{spec[0]}" for name, spec in COMMANDS.items()]
+        lines += ["", "'klsc <command> --help' lists a command's flags."]
+    else:
+        lines = [_usage(command), "", COMMANDS[command][0] + ".", "", "flags:"]
+        for name, (kind, default, _, _, text) in COMMANDS[command][2].items():
+            if default not in (None, False):
+                text += f" (default {default})"
+            lines.append(f"  {name:<21}{text}")
+    lines += ["",
+              "Flags are spelled in full, as --name value or --name=value; a flag",
+              "given twice takes the last value.  Exit codes: 0 success, 1 a check",
+              "failed, 2 malformed input or usage, 3 a compute limit was hit."]
+    return "\n".join(lines)
+
+
+def _usage_error(command, reason):
+    prog = "klsc" if command is None else f"klsc {command}"
+    print(f"{_usage(command)}\n{prog}: error: {reason}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def parse_args(argv):
+    """Read argv by the COMMANDS table, accepting what argparse accepted
+    apart from abbreviated flags.  Returns a namespace holding the command,
+    its handler ``fn``, the action (commands that take one) and one
+    attribute per flag.  --help prints and exits 0; a usage error prints
+    the reason to stderr and exits 2."""
+    argv = list(argv)
+    if argv[:1] in (["-h"], ["--help"]):
+        print(_help(None))
+        raise SystemExit(0)
+    if not argv or argv[0] not in COMMANDS:
+        _usage_error(None, f"invalid command {argv[0]!r}" if argv else "a command is required")
+    command, tokens = argv[0], argv[1:]
+    _, actions, flags, fn = COMMANDS[command]
+    args = {"command": command, "fn": fn}
+    args.update((_dest(name), spec[1]) for name, spec in flags.items())
+    if actions:
+        args["action"] = None
+    action_at = None  # the index of the action among tokens
+    i = 0
+    while i < len(tokens):
+        token = tokens[i]
+        i += 1
+        if token == "--":
+            # argparse takes the separator only right after the action, or
+            # right before it as the last token
+            rest = tokens[i:]
+            if not rest and action_at == i - 2:
+                break
+            if not (actions and action_at is None and len(rest) == 1):
+                _usage_error(command, "unrecognized arguments: " + " ".join(tokens[i - 1 :]))
+            token = rest[0]
+            i += 1
+        elif _reads_as_flag(token, flags):
+            if token in _HELP_FLAGS:
+                print(_help(command))
+                raise SystemExit(0)
+            name, value = token, None
+            if token not in flags:
+                name, eq, value = token.partition("=")
+                if not eq or name not in flags:
+                    near = [f for f in flags if f.startswith(name)]
+                    hint = f" (flags are not abbreviated: {', '.join(near)})" if near else ""
+                    _usage_error(command, f"unrecognized arguments: {token}{hint}")
+            kind, _, _, choices, _ = flags[name]
+            if kind == "switch":
+                if value is not None:
+                    _usage_error(command, f"argument {name}: ignored explicit argument {value!r}")
+                value = True
+            elif value is None:
+                if i == len(tokens) or _reads_as_flag(tokens[i], flags):
+                    _usage_error(command, f"argument {name}: expected one argument")
+                value = tokens[i]
+                i += 1
+            if kind == "int":
+                try:
+                    value = int(value)
+                except ValueError:
+                    _usage_error(command, f"argument {name}: invalid int value: {value!r}")
+            if choices and value not in choices:
+                _usage_error(command, f"argument {name}: invalid choice: {value!r}")
+            args[_dest(name)] = value
+            continue
+        if not actions or action_at is not None:
+            _usage_error(command, f"unrecognized arguments: {token}")
+        if token not in actions:
+            _usage_error(command, f"argument action: invalid choice: {token!r}")
+        args["action"], action_at = token, i - 1
+    missing = ["action"] if actions and action_at is None else []
+    missing += [name for name, spec in flags.items() if spec[2] and args[_dest(name)] is None]
+    if missing:
+        _usage_error(command, "the following arguments are required: " + ", ".join(missing))
+    return types.SimpleNamespace(**args)
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         report, code = args.fn(args)
+        _emit(report, args)
     except _InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -448,7 +590,6 @@ def main(argv=None):
     except KlscError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args)
     return code
 
 

@@ -78,3 +78,62 @@ def dense_matvec(rows, x, field):
             acc = field.add(acc, field.mul(a, b))
         out.append(acc)
     return out
+
+
+def build_parser():
+    """The argparse parser that klsc's command line used before its flag
+    table, kept as the reference the table's parser is compared against."""
+    import argparse
+
+    from klsc.cli import _cmd_coxeter, _cmd_fan, _cmd_kls, _cmd_matroid, _cmd_validate
+
+    def field_flags(p):
+        p.add_argument("--char", type=int, default=0)
+        p.add_argument("--compare-recursion", action="store_true")
+
+    def common_flags(p):
+        p.add_argument("--output")
+        p.add_argument("--pretty", action="store_true")
+
+    parser = argparse.ArgumentParser(prog="klsc")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("kls")
+    p.add_argument("--kernel", choices=["eulerian", "matroid", "coxeter"], required=True)
+    p.add_argument("--input", required=True)
+    p.add_argument("--pair")
+    common_flags(p)
+    p.set_defaults(fn=_cmd_kls)
+
+    p = sub.add_parser("fan")
+    p.add_argument("action", choices=["g", "ih"])
+    p.add_argument("--input", required=True)
+    p.add_argument("--cone", type=int)
+    common_flags(p)
+    p.set_defaults(fn=_cmd_fan)
+
+    p = sub.add_parser("matroid")
+    p.add_argument("action", choices=["kl", "z"])
+    p.add_argument("--input", required=True)
+    p.add_argument("--all-flats", action="store_true")
+    field_flags(p)
+    common_flags(p)
+    p.set_defaults(fn=_cmd_matroid)
+
+    p = sub.add_parser("coxeter")
+    p.add_argument("action", choices=["kl"])
+    p.add_argument("--type")
+    p.add_argument("--cartan")
+    p.add_argument("--w", required=True)
+    p.add_argument("--v", default="e")
+    p.add_argument("--degree-bound", type=int, default=None)
+    field_flags(p)
+    common_flags(p)
+    p.set_defaults(fn=_cmd_coxeter)
+
+    p = sub.add_parser("validate")
+    p.add_argument("--suite", default="desk")
+    p.add_argument("--quiet", action="store_true")
+    common_flags(p)
+    p.set_defaults(fn=_cmd_validate)
+    return parser

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from klsc.cli import main
+from helpers import build_parser
+from klsc.cli import COMMANDS, main, parse_args
 
 
 def write(tmp_path, name, data):
@@ -141,6 +142,14 @@ class TestMatroidCommand:
                 main(argv)
             assert exc.value.code == 2, argv
         capsys.readouterr()
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        # this raised FileNotFoundError (exit 1 with a traceback)
+        path = write(tmp_path, "u34.json", U34)
+        report = str(tmp_path / "missing" / "report.json")
+        assert main(["matroid", "kl", "--input", path, "--output", report]) == 2
+        captured = capsys.readouterr()
+        assert "cannot write report" in captured.err and captured.out == ""
 
     def test_flats_input(self, tmp_path, capsys):
         data = {
@@ -353,6 +362,17 @@ class TestKlsCommand:
         assert main(["kls", "--kernel", "eulerian", "--input", path]) == 2
         assert "expected an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "pair, left, right",
+        [("{0},{1}", "{0}", "{1}"), ("{0,1,2,3},{}", "{0,1,2,3}", "{}")],
+        ids=["incomparable", "reversed"],
+    )
+    def test_pair_not_in_order_exits_2(self, tmp_path, capsys, pair, left, right):
+        # these raised KeyError from the KLS table (exit 1 with a traceback)
+        path = write(tmp_path, "u34.json", U34)
+        assert main(["kls", "--kernel", "matroid", "--input", path, "--pair", pair]) == 2
+        assert f"{left} is not below {right}" in capsys.readouterr().err
+
     def test_coxeter_kernel(self, tmp_path, capsys):
         path = write(tmp_path, "cox.json", {"type": "A2", "w": [1, 2, 1]})
         code = main(["kls", "--kernel", "coxeter", "--input", path])
@@ -422,6 +442,176 @@ def test_fuzzed_index_fields_exit_cleanly(tmp_path_factory, command):
     assert main(argv + ["--input", path]) in (0, 1, 2, 3)
 
 
+class TestParsing:
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(f"  {command}  " in out for command in COMMANDS)
+        with pytest.raises(SystemExit) as exc:
+            main(["matroid", "kl", "-h"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "  --all-flats          also report the stalk at every flat" in lines
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["matroid", "kl", "--input", "u34.json", "--all"],
+             "unrecognized arguments: --all (flags are not abbreviated: --all-flats)"),
+            (["matroid", "kl", "--input", "--pretty"], "argument --input: expected one argument"),
+            (["matroid", "kl"], "required: --input"),
+            (["matroid", "--input", "u34.json"], "required: action"),
+            (["fan", "g", "--input", "sq.json", "--cone", "x"], "invalid int value: 'x'"),
+            (["mat"], "invalid command 'mat'"),
+        ],
+        ids=["abbreviation", "flag-as-value", "missing-flag", "missing-action", "bad-int",
+             "bad-command"],
+    )
+    def test_usage_error_exits_2(self, capsys, argv, reason):
+        # abbreviations, which argparse expanded, are refused on purpose
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith(f"usage: klsc {argv[0]}" if argv[0] in COMMANDS else "usage: klsc")
+        assert error.startswith("klsc") and ": error: " in error and reason in error
+
+
+_FLAG_NAMES = sorted({name for _, _, flags, _ in COMMANDS.values() for name in flags})
+# values: actions, choices, ints, negative numbers and words that argparse
+# reads as values ('-', '- 1'); junk: what it reads as unknown flags, and the
+# separator '--'.  None is '-h' or a prefix of a flag, which argparse expands.
+_VALUES = st.one_of(
+    st.sampled_from(["g", "ih", "kl", "z", "eulerian", "matroid", "coxeter", "desk", "x", "",
+                     "-", "- 1", "a b", "-1.5", "-.5"]),
+    st.integers(-12, 12).map(str),
+)
+# '--' is junk and never a value: argparse reads '--name=--' as an empty
+# list, which no command can use, and the table as the string '--'
+_JUNK = st.sampled_from(["-x", "--nope", "--nope=1", "-1e3", "--"])
+_MOSTLY = st.sampled_from([True, True, True, False])
+_REFERENCE = build_parser()
+
+
+@st.composite
+def _argvs(draw):
+    """A command (or a junk word) and a shuffle of its flags with values,
+    in both the --name value and --name=value forms, the action, and junk."""
+    command = draw(st.sampled_from([*COMMANDS, *COMMANDS, "nope", "--input", "-1"]))
+    _, actions, flags, _ = COMMANDS.get(command, COMMANDS["coxeter"])
+
+    def given_flag(name):
+        kind, _, _, choices, _ = flags[name]
+        if kind == "switch":
+            return st.just([name])
+        if choices:
+            value = st.sampled_from([*choices, *choices, "x"])
+        else:
+            value = st.one_of(st.integers(-12, 12).map(str), _VALUES) if kind == "int" else _VALUES
+        return st.one_of(value.map(lambda v: [name, v]), value.map(lambda v: [f"{name}={v}"]))
+
+    pieces = draw(st.lists(st.sampled_from(sorted(flags)).flatmap(given_flag), max_size=6))
+    pieces += draw(st.lists(st.one_of(_JUNK, _VALUES, st.sampled_from(_FLAG_NAMES)).map(
+        lambda word: [word]), max_size=1))
+    if draw(_MOSTLY):  # the required flags, so that parses succeed
+        pieces += [[name, spec[3][0] if spec[3] else "x"]
+                   for name, spec in flags.items() if spec[2]]
+    pieces = draw(st.permutations(pieces))
+    tail = []
+    if actions and draw(st.booleans()):
+        action = draw(st.sampled_from(actions))
+        at = draw(st.integers(-2, len(pieces)))
+        if at >= 0:
+            pieces.insert(at, [action])
+        else:  # argparse accepts '--' right before or after a last action
+            tail = ["--", action] if at == -1 else [action, "--"]
+    return [command] + [token for piece in pieces for token in piece] + tail
+
+
+def _parsed(parse, argv):
+    try:
+        return vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+def test_flag_table_parses_as_argparse_did(argv):
+    """The flag table's parser gives argparse's namespace for every argv
+    argparse accepted, and exits 2 wherever argparse did."""
+    assert _parsed(parse_args, argv) == _parsed(_REFERENCE.parse_args, argv)
+
+
+# cheap inputs and values for every flag: the paths are filled in per test
+_FUZZ_VALUES = {
+    "--output": ["report", "unwritable"],
+    "--kernel": ["eulerian", "matroid", "coxeter", "x"],
+    "--pair": ["{},{0,1,2,3}", "{0},{1}", "{0,1,2,3},{}", "x,y", "sigma:0"],
+    "--cone": ["0", "3", "9", "-1", "x"],
+    "--char": ["0", "2", "3", "4", "-1", "x"],
+    "--type": ["A1", "A2", "B2", "H3"],
+    "--cartan": ["[[2,-1],[-1,2]]", "[[2]]", "[[2,-1]", "5"],
+    "--w": ["1", "1,2", "121", "21", "e", "3412", "x"],
+    "--v": ["e", "1", "2,1", "x"],
+    "--degree-bound": ["0", "1", "4", "-1", "x"],
+    "--suite": ["nope"],
+}
+_FUZZ_INPUT_VALUES = {
+    "kls": ["u34", "poset", "cox", "missing"],
+    "fan": ["square", "square", "u34", "missing"],
+    "matroid": ["u34", "u34", "square", "missing"],
+}
+_FUZZ_INPUTS = {
+    "u34": U34,
+    "square": SQUARE,
+    "poset": {"elements": ["sigma", "r0", "r1", "0"], "rank": [0, 1, 1, 2],
+              "covers": [[0, 1], [0, 2], [1, 3], [2, 3]]},
+    "cox": {"type": "A2", "w": [1, 2, 1]},
+}
+
+
+@st.composite
+def _fuzzed_argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    _, actions, flags, _ = COMMANDS[command]
+    values = {**_FUZZ_VALUES, "--input": _FUZZ_INPUT_VALUES.get(command)}
+    flag = st.sampled_from(sorted(values.keys() & flags.keys()))
+    pieces = draw(st.lists(st.one_of(
+        flag.flatmap(lambda name: st.sampled_from(values[name]).map(lambda v: [name, v])),
+        st.sampled_from([name for name in flags if flags[name][0] == "switch"]).map(
+            lambda name: [name]),
+    ), max_size=5))
+    if draw(_MOSTLY):  # the action and the required flags, so that most calls run
+        pieces += [[name, draw(st.sampled_from(values[name]))]
+                   for name, spec in flags.items() if spec[2] or name == "--type"]
+        pieces.append(list(actions[:1]))
+    if not draw(_MOSTLY):
+        pieces.append([draw(st.sampled_from([*actions, "--help", "x", "-x"]))])
+    argv = [command] + [token for piece in draw(st.permutations(pieces)) for token in piece]
+    # validate runs only with an unknown suite, which the last --suite sets
+    return argv + ["--suite", "nope"] if command == "validate" else argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fuzzed_argvs())
+def test_fuzzed_argv_exits_cleanly(tmp_path_factory, argv):
+    """Whatever flags, values and words a subcommand's argv holds, main
+    returns an exit code or exits 0 (--help) or 2 (a usage error), and
+    lets no other exception escape."""
+    tmp = tmp_path_factory.mktemp("argv")
+    paths = {name: write(tmp, f"{name}.json", data) for name, data in _FUZZ_INPUTS.items()}
+    paths.update(missing=str(tmp / "missing.json"), report=str(tmp / "report.json"),
+                 unwritable=str(tmp / "missing" / "report.json"))
+    argv = [paths.get(token, token) for token in argv]
+    try:
+        assert main(argv) in (0, 1, 2, 3)
+    except SystemExit as exc:
+        assert exc.code in (0, 2)
+
+
 class TestDeterminism:
     def test_identical_output_modulo_timings(self, tmp_path, capsys):
         path = write(tmp_path, "u34.json", U34)
@@ -445,13 +635,21 @@ class TestDeterminism:
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy is imported at the first GF(p) computation, not with the CLI
+    # numpy is imported at the first GF(p) computation, not with the CLI; the
+    # flag table needs neither argparse nor the gettext and locale it loads
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, klsc.cli; print('numpy' in sys.modules)"
+    code = (
+        "import contextlib, io, sys, klsc.cli\n"
+        "lazy = ('numpy', 'argparse', 'gettext', 'locale')\n"
+        "print([m for m in lazy if m in sys.modules])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    klsc.cli.main(['coxeter', 'kl', '--type', 'A2', '--w', '121'])\n"
+        "print([m for m in lazy if m in sys.modules])\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split("\n") == ["[]", "[]", ""]
