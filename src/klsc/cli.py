@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import sys
 import time
@@ -156,7 +157,14 @@ def _emit(report, args):
         except OSError as exc:
             raise _InputError(f"cannot write report {args.output}: {exc}") from exc
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader went away (say `| head`); send the rest, and the
+            # flush at exit, to devnull, so the command ends with its own
+            # exit code and no traceback
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _pretty(report, indent=0):

@@ -121,11 +121,21 @@ class CartanDatum:
         return len(self.matrix)
 
 
-def _mat_mul(a, b, n):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+def _generator_row(i, cartan_row):
+    """Row i of a simple reflection's matrix, (delta_ij - cartan_row[j])_j,
+    as its nonzero (j, entry) pairs; every other row is the identity's."""
+    row = [(1 if i == j else 0) - a for j, a in enumerate(cartan_row)]
+    return [(j, c) for j, c in enumerate(row) if c]
+
+
+def _left_mul(row, i, m):
+    """g * m for a generator g given by its row i (_generator_row): only
+    row i of m changes, to the combination of m's rows that row names."""
+    new = [0] * len(m)
+    for j, c in row:
+        for col, x in enumerate(m[j]):
+            new[col] += c * x
+    return m[:i] + (tuple(new),) + m[i + 1:]
 
 
 class CoxeterGroup:
@@ -144,17 +154,10 @@ class CoxeterGroup:
         self.rank = n
         a = cartan.matrix
         eye = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        # generator matrices on the root lattice and on the coroot lattice
-        gens = []
-        gens_co = []
-        for i in range(n):
-            g = [list(r) for r in eye]
-            gco = [list(r) for r in eye]
-            for j in range(n):
-                g[i][j] = (1 if i == j else 0) - a[i][j]
-                gco[i][j] = (1 if i == j else 0) - a[j][i]
-            gens.append(tuple(tuple(r) for r in g))
-            gens_co.append(tuple(tuple(r) for r in gco))
+        # s_i is the identity but for row i: (delta_ij - a_ij)_j on the root
+        # lattice and (delta_ij - a_ji)_j on the coroot lattice
+        gens = [_generator_row(i, a[i]) for i in range(n)]
+        gens_co = [_generator_row(i, [a[j][i] for j in range(n)]) for i in range(n)]
 
         index = {eye: 0}
         mats = [eye]
@@ -169,12 +172,12 @@ class CoxeterGroup:
             new_frontier = []
             for x in frontier:
                 for s in range(n):
-                    m = _mat_mul(gens[s], mats[x], n)
+                    m = _left_mul(gens[s], s, mats[x])
                     left[s].append(index.get(m, len(mats)))
                     if m not in index:
                         index[m] = len(mats)
                         mats.append(m)
-                        mats_co.append(_mat_mul(gens_co[s], mats_co[x], n))
+                        mats_co.append(_left_mul(gens_co[s], s, mats_co[x]))
                         lengths.append(lengths[x] + 1)
                         words.append((s,) + words[x])
                         new_frontier.append(index[m])

@@ -19,10 +19,24 @@ eliminating one variable (the pivot of the label), so their elements are
 polynomials not involving the pivot.
 
 Section spaces are carried as explicit generating sets: tuples of
-polynomial vectors over the stalk generators.  Passing a vertex lifts each
-generator across the new stalk (flabbiness) and adds the kernel of the
-cover map; a lift that fails to exist would signal a broken invariant and
-raises immediately.
+polynomial vectors over the stalk generators.  A boundary element at u is
+a flat {(edge, target generator, monomial): coefficient} dict over the
+edge modules' monomials.  Passing u runs one tagged elimination per degree
+d (RowSpace, tagged mode), which finds the new generators, lifts the
+sections and yields the kernel of the cover map at once:
+
+* first the psi-images of the generators below d, on the monomial basis
+  (gen, m) of the free cover: the image of (gen, m / x_j) one degree down
+  raised by x_j, the last variable dividing m (EdgeRing.times_var).  They
+  span x * (M_{du})_{d-1}; an image in the span of the earlier ones leaves
+  its tag, an element of the cover kernel;
+* then the restrictions of the degree-d sections: one outside the span is
+  a new stalk generator, tagged (gen, 1); any other is the psi-image of its
+  tag, which lifts the section across the new stalk (flabbiness).
+
+The cover kernel's minimal generators, the kernel elements outside the
+previous degree's kernel raised by every variable, become sections
+supported at u.
 """
 
 from __future__ import annotations
@@ -75,6 +89,7 @@ class EdgeRing:
                 subst[tuple(e)] = field.neg(field.mul(inv, c))
         self._subst = MultiPoly(field, nvars, subst)
         self._powers = {0: MultiPoly.const(field, nvars, field.from_int(1))}
+        self._times = {}
 
     def _subst_power(self, k):
         if k not in self._powers:
@@ -100,13 +115,21 @@ class EdgeRing:
                 out[key] = add(out.get(key, zero), mul(c, cs))
         return MultiPoly(f, self.nvars, out)
 
-    def coeff_vector(self, poly, degree):
-        mons = reduced_monomials(self.nvars, self.pivot, degree)
-        idx = {m: i for i, m in enumerate(mons)}
-        v = [self.field.zero] * len(mons)
-        for e, c in poly.terms.items():
-            v[idx[e]] = c
-        return v
+    def times_var(self, var, m):
+        """x_var * x^m in R/alpha, for a monomial m free of the pivot, as
+        (monomial, coefficient) pairs.  It is a shift of m unless var is
+        the pivot, which alone is substituted; cached per ring."""
+        key = (var, m)
+        out = self._times.get(key)
+        if out is None:
+            one = self.field.from_int(1)
+            e = m[:var] + (m[var] + 1,) + m[var + 1:]
+            if var == self.pivot:
+                out = tuple(self.reduce(MultiPoly(self.field, self.nvars, {e: one})).terms.items())
+            else:
+                out = ((e, one),)
+            self._times[key] = out
+        return out
 
 
 class Section:
@@ -316,143 +339,113 @@ def _boundary_coords(graph, stalks, edge_rings, up_edges, degree):
 
 def _boundary_vector(field, elt, layout, pos):
     v = [field.zero] * len(layout)
-    for (k, j), poly in elt.items():
-        for e, c in poly.terms.items():
-            v[pos[(k, j, e)]] = c
+    for key, c in elt.items():
+        v[pos[key]] = c
     return v
 
 
-def _res_image(graph, field, edge_rings, stalks, up_edges, section):
-    """Restriction of a section to the edge modules at the new vertex."""
+def _res_image(graph, edge_rings, up_edges, section):
+    """Restriction of a section to the edge modules at the new vertex, as
+    a flat {(edge, generator, monomial): coefficient} dict."""
     out = {}
     for k in up_edges:
-        e = graph.edges[k]
-        ring = edge_rings[k]
-        polys = section.parts.get(e.v)
+        polys = section.parts.get(graph.edges[k].v)
         if polys is None:
             continue
+        ring = edge_rings[k]
         for j, p in enumerate(polys):
             if not p.is_zero():
-                red = ring.reduce(p)
-                if not red.is_zero():
-                    out[(k, j)] = red
+                for e, c in ring.reduce(p).terms.items():
+                    out[(k, j, e)] = c
     return out
 
 
-def _raise_boundary_elt(field, nvars, elt, var, edge_rings):
+def _raise_boundary_elt(field, elt, var, edge_rings):
+    """x_var times a boundary element, reduced edge by edge."""
+    add, mul, is_zero = field.add, field.mul, field.is_zero
     out = {}
-    for (k, j), poly in elt.items():
-        raised = edge_rings[k].reduce(poly.mul_var(var))
-        if not raised.is_zero():
-            out[(k, j)] = raised
-    return out
+    for (k, j, m), c in elt.items():
+        for e, a in edge_rings[k].times_var(var, m):
+            key = (k, j, e)
+            out[key] = add(out[key], mul(c, a)) if key in out else mul(c, a)
+    return {key: c for key, c in out.items() if not is_zero(c)}
+
+
+def _stalk_polys(field, nvars, ngens, coords):
+    """Per generator, the polynomial of a {(generator, monomial):
+    coefficient} dict."""
+    terms = [{} for _ in range(ngens)]
+    for (gi, m), c in coords.items():
+        terms[gi][m] = c
+    return [MultiPoly(field, nvars, t) for t in terms]
 
 
 def _attach_vertex(
     graph, field, nvars, v, up_edges, edge_rings, stalks, lower_maps,
     sections, sweep, r_v, char_p,
 ):
-    # boundary module spans, degree by degree, with new-generator detection
-    res_by_degree = {}
-    for s in sections:
-        img = _res_image(graph, field, edge_rings, stalks, up_edges, s)
-        if img:
-            res_by_degree.setdefault(s.degree, []).append(img)
+    by_degree = {}
+    for si, s in enumerate(sections):
+        by_degree.setdefault(s.degree, []).append(si)
+    one = field.from_int(1)
+    origin = (0,) * nvars
 
-    basis_elts = []  # spanning set of the boundary module in the current degree
     gen_degrees = []
     gen_images = []  # boundary elements: psi-images of the new stalk generators
+    lifts = {}  # section index -> {(generator, monomial): coefficient} at v
+    kernel_gens = []
+    images = {}  # (generator, monomial) -> psi-image, in the current degree
+    kernel = []  # tags of the cover kernel, a basis in the current degree
     for d in range(sweep + 1):
         layout, pos = _boundary_coords(graph, stalks, edge_rings, up_edges, d)
-        space = RowSpace(field, len(layout))
-        new_elts = []
-        for elt in basis_elts:
-            for var in range(nvars):
-                relt = _raise_boundary_elt(field, nvars, elt, var, edge_rings)
-                if relt and space.add(_boundary_vector(field, relt, layout, pos)) is not None:
-                    new_elts.append(relt)
-        for img in res_by_degree.get(d, ()):
-            vec = _boundary_vector(field, img, layout, pos)
-            if space.add(vec) is not None:
-                new_elts.append(img)
-                if not char_p and d >= r_v:
-                    raise DegreeBoundError(graph.interval.poset.names[v], d, r_v)
-                if d == sweep:
-                    raise TruncationBoundError(
-                        f"boundary generator at the sweep bound {sweep}; raise it"
-                    )
-                gen_degrees.append(d)
-                gen_images.append(img)
-        basis_elts = new_elts
-
-    stalks[v] = gen_degrees
-    # the lower-endpoint edge maps: component of each psi-image, reduced
-    for k in up_edges:
-        e = graph.edges[k]
-        n_target = len(stalks[e.v])
-        lower_maps[k] = [
-            [img.get((k, j), MultiPoly.zero(field, nvars)) for j in range(n_target)]
-            for img in gen_images
-        ]
-
-    # lift every maintained section across the new stalk, and collect the
-    # kernel of the cover map; both happen degree by degree through a tagged
-    # echelon of psi-images of the stalk's monomial basis
-    new_sections = []
-    psi_spaces = {}
-
-    def psi_space(d):
-        if d not in psi_spaces:
-            layout, pos = _boundary_coords(graph, stalks, edge_rings, up_edges, d)
-            space = RowSpace(field, len(layout), tagged=True)
-            kernel_elts = []
-            for gi, gd in enumerate(gen_degrees):
-                if gd > d:
-                    continue
-                for m in monomials(nvars, d - gd):
-                    elt = gen_images[gi]
-                    mpoly = MultiPoly(field, nvars, {m: field.from_int(1)})
-                    shifted = {}
-                    for (k, j), poly in elt.items():
-                        prod = edge_rings[k].reduce(mpoly * poly)
-                        if not prod.is_zero():
-                            shifted[(k, j)] = prod
-                    vec = _boundary_vector(field, shifted, layout, pos)
-                    tag = {(gi, m): field.from_int(1)}
-                    res, rtag = space.reduce(vec, tag)
-                    if any(res):
-                        space.add(vec, tag)
-                    else:
-                        # psi(combination) = 0: a kernel element of the cover
-                        kernel_elts.append(rtag)
-            psi_spaces[d] = (space, kernel_elts, layout, pos)
-        return psi_spaces[d]
-
-    for s in sections:
-        space, _, layout, pos = psi_space(s.degree)
-        img = _res_image(graph, field, edge_rings, stalks, up_edges, s)
-        vec = _boundary_vector(field, img, layout, pos)
-        res, tag = space.reduce(vec)
-        if any(res):
-            raise KlscError(
-                "section restriction escaped the boundary module; "
-                "flabbiness invariant broken"
-            )
-        # vec = -sum(tag) over psi-image tags, so m_s = -sum(tag) over stalk coords
-        polys = [MultiPoly.zero(field, nvars) for _ in gen_degrees]
-        for (gi, m), c in tag.items():
-            polys[gi] = polys[gi] + MultiPoly(field, nvars, {m: field.neg(c)})
-        parts = dict(s.parts)
-        if any(not p.is_zero() for p in polys):
-            parts[v] = polys
-        new_sections.append(Section(s.degree, parts))
-
-    # kernel of the cover map, with its own minimal generators
-    kernel_gens = []
-    kernel_basis_by_degree = {}
-    for d in range(sweep + 1):
-        _, kernel_elts, _, _ = psi_space(d)
-        # coordinates of (M_v)_d: (generator, monomial)
+        space = RowSpace(field, len(layout), tagged=True)
+        # psi on the monomial basis (gen, m) of the free cover in degree d,
+        # generators below d first: the image of (gen, m / x_j) raised by
+        # x_j, the last variable dividing m.  A dependent image leaves the
+        # tag of a cover-kernel element.
+        prev, images = images, {}
+        prev_kernel, kernel = kernel, []
+        for gi, gd in enumerate(gen_degrees):
+            for m in monomials(nvars, d - gd):
+                last = max(j for j, e in enumerate(m) if e)
+                down = m[:last] + (m[last] - 1,) + m[last + 1:]
+                img = _raise_boundary_elt(field, prev[(gi, down)], last, edge_rings)
+                images[(gi, m)] = img
+                vec = _boundary_vector(field, img, layout, pos)
+                res, rtag = space.reduce(vec, {(gi, m): one})
+                if any(res):
+                    space.add(res, rtag)
+                else:
+                    kernel.append(rtag)
+        # then the restrictions of the degree-d sections: one outside the
+        # span is a new stalk generator, tagged (gen, 1); any other is the
+        # psi-image of minus its residual's tag
+        for si in by_degree.get(d, ()):
+            img = _res_image(graph, edge_rings, up_edges, sections[si])
+            if not img:
+                continue
+            res, rtag = space.reduce(_boundary_vector(field, img, layout, pos))
+            if not any(res):
+                lifts[si] = {key: field.neg(c) for key, c in rtag.items()}
+                continue
+            if not char_p and d >= r_v:
+                raise DegreeBoundError(graph.interval.poset.names[v], d, r_v)
+            if d == sweep:
+                raise TruncationBoundError(
+                    f"boundary generator at the sweep bound {sweep}; raise it"
+                )
+            gi = len(gen_degrees)
+            gen_degrees.append(d)
+            gen_images.append(img)
+            images[(gi, origin)] = img
+            rtag[(gi, origin)] = one
+            space.add(res, rtag)
+            lifts[si] = {(gi, origin): one}
+        # minimal generators of the cover kernel: the kernel elements
+        # outside the span of the previous degree's kernel raised by every
+        # variable
+        if not kernel:
+            continue
         coords = []
         for gi, gd in enumerate(gen_degrees):
             if gd <= d:
@@ -460,19 +453,13 @@ def _attach_vertex(
                     coords.append((gi, m))
         cpos = {key: c for c, key in enumerate(coords)}
         span = RowSpace(field, len(coords))
-        for kv in kernel_basis_by_degree.get(d - 1, ()):
+        for kv in prev_kernel:
             for var in range(nvars):
-                raised = {}
-                for (gi, m), c in kv.items():
-                    e = list(m)
-                    e[var] += 1
-                    raised[(gi, tuple(e))] = c
                 vec = [field.zero] * len(coords)
-                for key, c in raised.items():
-                    vec[cpos[key]] = c
+                for (gi, m), c in kv.items():
+                    vec[cpos[(gi, m[:var] + (m[var] + 1,) + m[var + 1:])]] = c
                 span.add(vec)
-        stored = []
-        for kt in kernel_elts:
+        for kt in kernel:
             vec = [field.zero] * len(coords)
             for key, c in kt.items():
                 vec[cpos[key]] = c
@@ -481,15 +468,31 @@ def _attach_vertex(
                     raise TruncationBoundError(
                         f"cover-kernel generator at the sweep bound {sweep}"
                     )
-                kernel_gens.append((d, dict(kt)))
-        # keep a basis of the kernel in this degree for raising
-        kernel_basis_by_degree[d] = [dict(kt) for kt in kernel_elts]
+                kernel_gens.append((d, kt))
 
+    stalks[v] = gen_degrees
+    # the lower-endpoint edge maps: component of each psi-image, reduced
+    for k in up_edges:
+        n_target = len(stalks[graph.edges[k].v])
+        lower_maps[k] = [
+            _stalk_polys(
+                field, nvars, n_target,
+                {(j, m): c for (kk, j, m), c in img.items() if kk == k},
+            )
+            for img in gen_images
+        ]
+
+    # every section extends across the new stalk by its lift
+    ngens = len(gen_degrees)
+    new_sections = []
+    for si, s in enumerate(sections):
+        parts = dict(s.parts)
+        if si in lifts:
+            parts[v] = _stalk_polys(field, nvars, ngens, lifts[si])
+        new_sections.append(Section(s.degree, parts))
+    # and the kernel of the cover map is carried by sections supported at v
     for d, kt in kernel_gens:
-        polys = [MultiPoly.zero(field, nvars) for _ in gen_degrees]
-        for (gi, m), c in kt.items():
-            polys[gi] = polys[gi] + MultiPoly(field, nvars, {m: c})
-        new_sections.append(Section(d, {v: polys}))
+        new_sections.append(Section(d, {v: _stalk_polys(field, nvars, ngens, kt)}))
 
     sections.clear()
     sections.extend(new_sections)

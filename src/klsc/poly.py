@@ -296,15 +296,6 @@ class MultiPoly:
                     out[e] = s
         return MultiPoly(f, self.nvars, out)
 
-    def mul_var(self, i):
-        """Multiply by the i-th variable."""
-        out = {}
-        for e, c in self.terms.items():
-            e2 = list(e)
-            e2[i] += 1
-            out[tuple(e2)] = c
-        return MultiPoly(self.field, self.nvars, out)
-
     def substitute_linear(self, matrix, new_nvars):
         """Compose with the linear map x_i -> sum_j matrix[i][j] u_j.
 

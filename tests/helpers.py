@@ -80,6 +80,15 @@ def dense_matvec(rows, x, field):
     return out
 
 
+def mat_mul(a, b, n):
+    """The product of two n x n matrices given as row tuples, straight
+    from the definition."""
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
 def build_parser():
     """The argparse parser that klsc's command line used before its flag
     table, kept as the reference the table's parser is compared against."""

@@ -653,3 +653,25 @@ def test_cli_import_leaves_numpy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == ["[]", "[]", ""]
+
+
+def test_closed_stdout_exits_with_the_commands_code():
+    # `klsc ... | head` closes the pipe before klsc writes: the report is
+    # dropped, with no BrokenPipeError traceback and the command's own exit
+    # code; the read end is closed before the child starts, so it always
+    # writes into a closed pipe
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "klsc.cli", "coxeter", "kl", "--type", "A2",
+             "--w", "121", "--char", "5"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 0

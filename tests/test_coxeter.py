@@ -5,7 +5,6 @@ import pytest
 from klsc.coxeter import (
     CartanDatum,
     CoxeterGroup,
-    _mat_mul,
     bruhat_graph,
     element_from_json,
     enumerate_interval,
@@ -18,6 +17,8 @@ from klsc.coxeter import (
 from klsc.errors import InvalidInputError
 from klsc.kls import coxeter_R_kernel, solve_kls, verify_kernel
 from klsc.poly import UniPoly
+
+from helpers import mat_mul as _mat_mul
 
 
 def group(name):

@@ -26,18 +26,14 @@ def test_every_traced_name_resolves():
     _load_tracing().check_targets()
 
 
-def test_traced_matroid_run_moves_every_predicted_counter(tmp_path):
-    """A traced `matroid z --all-flats --compare-recursion` on U(2,4), the
-    matroid-qq item kind, moves every counter the benchmark predicts
-    non-zero there, so an untagged QQ elimination that bypasses
-    RowSpace.add fails here and not only in a traced benchmark run.  The
-    tracer is installed for good, so it runs in a forked child, and the
-    child clears the sheaf memo that earlier tests in this process filled."""
+def _traced_run(workload, argvs):
+    """Run the CLI calls under perfbench/tracing.py's Tracer and return
+    their exit codes, the predicted counters that read 0 on their union,
+    and the per-layer metrics.  The tracer is installed for good, so the
+    calls run in a forked child, which first clears the sheaf memo that
+    earlier tests in this process filled, as a benchmark item starts from
+    an empty one."""
     tracing = _load_tracing()
-    bases = [list(b) for b in itertools.combinations(range(4), 2)]
-    path = tmp_path / "u24.json"
-    path.write_text(json.dumps({"ground_set": 4, "bases": bases}))
-    argv = ["matroid", "z", "--all-flats", "--compare-recursion", "--input", str(path)]
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:  # pragma: no cover - the child reports through the pipe
@@ -47,18 +43,17 @@ def test_traced_matroid_run_moves_every_predicted_counter(tmp_path):
             from klsc import matroid_ih
             from klsc.cli import main
 
-            # start from the empty memo a benchmark item starts from
             matroid_ih._MEMO.clear()
 
             tracer = tracing.Tracer()
             tracer.install()
             with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
-                exit_code = main(argv)
+                exits = [main(argv) for argv in argvs]
             metrics = tracing.layer_metrics(tracer.summary())
             report = {
-                "exit": exit_code,
-                "zero": tracing.check_predictions("matroid-qq", metrics),
-                "qq_adds": metrics["linalg.add.qq.calls"],
+                "exits": exits,
+                "zero": tracing.check_predictions(workload, metrics),
+                "metrics": metrics,
             }
             with os.fdopen(write_end, "w") as out:
                 json.dump(report, out)
@@ -72,6 +67,33 @@ def test_traced_matroid_run_moves_every_predicted_counter(tmp_path):
         raw = src.read()
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0, raw
-    report = json.loads(raw)
-    assert report["exit"] == 0
-    assert report["zero"] == [] and report["qq_adds"] > 0
+    return json.loads(raw)
+
+
+def test_traced_matroid_run_moves_every_predicted_counter(tmp_path):
+    """A traced `matroid z --all-flats --compare-recursion` on U(2,4), the
+    matroid-qq item kind, moves every counter the benchmark predicts
+    non-zero there, so an untagged QQ elimination that bypasses
+    RowSpace.add fails here and not only in a traced benchmark run."""
+    bases = [list(b) for b in itertools.combinations(range(4), 2)]
+    path = tmp_path / "u24.json"
+    path.write_text(json.dumps({"ground_set": 4, "bases": bases}))
+    argv = ["matroid", "z", "--all-flats", "--compare-recursion", "--input", str(path)]
+    report = _traced_run("matroid-qq", [argv])
+    assert report["exits"] == [0]
+    assert report["zero"] == [] and report["metrics"]["linalg.add.qq.calls"] > 0
+
+
+def test_traced_bruhat_run_moves_every_predicted_counter():
+    """Two traced bruhat items, A3 [e, 2132] over QQ with the recursion
+    cross-check and B2 [e, w0] over GF(5), move every counter the
+    benchmark predicts non-zero on bruhat, so a moment-graph sheaf that
+    bypasses EdgeRing.reduce, MultiPoly.__mul__ or the tagged RowSpace
+    fails here and not only in a traced benchmark run."""
+    argvs = [
+        ["coxeter", "kl", "--type", "A3", "--w", "2,1,3,2", "--compare-recursion"],
+        ["coxeter", "kl", "--type", "B2", "--w", "1,2,1,2", "--char", "5"],
+    ]
+    report = _traced_run("bruhat", argvs)
+    assert report["exits"] == [0, 0]
+    assert report["zero"] == []
