@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over a scalar field.
+"""Exact linear algebra over a scalar field.
 
 Vectors are plain Python lists, matrices are lists of row vectors; the
 one exception is ``matvec``, whose matrix is column-sparse: per column,
@@ -8,18 +8,22 @@ columns where the input vector is nonzero.
 Everything reduces to one workhorse, :class:`RowSpace`, an incrementally
 maintained echelon basis keyed by pivot column:
 
-* add a vector, learn whether it enlarged the span;
+* add a vector, a list or a dict of its nonzero entries (column ->
+  value), and learn whether it enlarged the span;
 * reduce a vector against the span;
 * read the basis (``basis``, ``rows``) in reduced row echelon form;
 * optionally track, for every basis row, its expression over the vectors
   that were added ("tagged" mode), which is how generator provenance is
   recovered in the sheaf computations.
 
-Untagged, the rows are kept semi-echelon: add stores the reduced vector
-and clears its pivot column from no older row.  Reading the basis clears
-the pivot columns once, last pivot first (back-substitution), so the
-reduced echelon form is paid for per read, not per add.  Tagged rows are
-kept fully reduced, their tags carried along at every add.
+A row is a dict of its nonzero entries, and the rows are kept
+semi-echelon: add stores the reduced vector and clears its pivot column
+from no older row; reduce walks only the pivot columns where the vector
+is nonzero, lowest first.  Reading the basis clears the pivot columns
+once, last pivot first (back-substitution), so the reduced echelon form
+is paid for per read, not per add.  A tag is a dict too, carried along
+with its row.  One code path serves QQ and, in tagged mode, GF(p): over
+QQ a row is primitive, over GF(p) it has a unit pivot and entries mod p.
 
 ``kernel_basis`` hands out a kernel in the form a RowSpace holding it
 would: reduced echelon rows in increasing pivot order.  Eliminating the
@@ -28,22 +32,23 @@ so no caller eliminates a kernel a second time.
 
 Over QQ the elimination is fraction-free (Bareiss, Math. Comp. 22, 1968),
 whichever rational backend is installed: every basis row is a primitive
-vector of Python ints with a positive pivot entry, input vectors are
-cleared of denominators on entry, and ``reduce`` divides by the scale it
+vector of Python ints with a positive pivot entry (in tagged mode,
+primitive together with its tag), input vectors are cleared of
+denominators on entry, and ``reduce`` divides by the scale it
 accumulated once at the end, so its residual is exactly the one a
 unit-pivot echelon gives.  Integral QQ elements are Python ints
 (klsc.field), so most input vectors are all ints and skip the clearing.
-Untagged QQ rows and the vector being reduced keep only their nonzero
-entries, so a step costs their nonzeros, not ncols.  A primitive reduced
-echelon basis with positive pivots is unique, and so is the residual of
-a vector once the pivot columns are fixed, so the deferred
-back-substitution changes no basis, pivot or residual.
-Over GF(2) every untagged row is one Python int with one byte per
-column, so a reduction step is a single XOR (the packed rows of
-Albrecht, Bard and Hart, ACM TOMS 37, 2010); over GF(p), p > 2, and in
-tagged mode rows are numpy int64 arrays with unit pivots.
-Either way the vectors handed out over GF(p) are int64 arrays.  numpy is
-imported at the first GF(p) computation, so QQ-only runs never load it.
+A step costs the nonzeros of the row and of the vector being reduced,
+not ncols.  The residual of a vector is unique once the pivot columns
+are fixed, and so is a primitive (or unit-pivot) reduced echelon basis,
+so the deferred back-substitution changes no basis, pivot or residual.
+Untagged over GF(p) the rows live in _GFRowSpace: over GF(2) every row
+is one Python int with one byte per column, so a reduction step is a
+single XOR (the packed rows of Albrecht, Bard and Hart, ACM TOMS 37,
+2010); over GF(p), p > 2, rows are numpy int64 arrays with unit pivots,
+and the vectors these spaces hand out are int64 arrays.  numpy is
+imported at the first untagged GF(p) space, so QQ-only runs and tagged
+eliminations never load it.
 
 Row order never affects computed dimensions; pivots are always the
 leftmost nonzero column, so results are deterministic.
@@ -52,7 +57,7 @@ leftmost nonzero column, so results are deterministic.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import compress, count
+from itertools import compress
 from math import gcd, lcm
 
 from klsc.errors import InconsistentSystemError, KlscError
@@ -75,40 +80,43 @@ class RowSpace:
     """A subspace of field^ncols, stored as an echelon basis keyed by pivot
     column.
 
-    Untagged over QQ, a row is a dict of its nonzero entries (column ->
-    int), primitive with a positive pivot entry pv, and the rows are kept
-    semi-echelon: each is zero before its pivot and in every pivot column
-    that existed when it was added.  Reducing v walks the pivot columns
-    where it is nonzero in increasing order, computing pv*v - v[c]*row
-    over v's and the row's nonzero entries only; a row is zero before its
-    pivot, so each step leaves the lower pivot columns of v clear.  add
-    stores the reduced vector, made primitive, and does nothing else.  The
-    older rows are cleared in the new pivot columns, last pivot first, only
-    when rows or basis reads them, so a run of adds pays for that once and
-    what is read is the reduced echelon form.
+    A row is a dict of its nonzero entries (column -> int): over QQ
+    primitive with a positive pivot entry pv, over GF(p) reduced mod p
+    with pv = 1.  The rows are kept semi-echelon: each is zero before its
+    pivot and in every pivot column that existed when it was added.
+    Reducing v walks the pivot columns where it is nonzero in increasing
+    order, computing pv*v - v[c]*row over v's and the row's nonzero
+    entries only; a row is zero before its pivot, so each step leaves the
+    lower pivot columns of v clear.  add stores the reduced vector,
+    normalised, and does nothing else.  The older rows are cleared in the
+    new pivot columns, last pivot first, only when rows or basis reads
+    them, so a run of adds pays for that once and what is read is the
+    reduced echelon form.
 
-    In tagged mode every add clears its new pivot column from the other
-    rows and carries their tags along, so the basis stays fully reduced;
-    a QQ row is a primitive int list kept with its nonzero (column, entry)
-    pairs.  Over GF(p) rows have unit pivots and live in _GFRowSpace
-    (XOR-packed ints over GF(2), one int64 matrix otherwise), or, in tagged
-    mode, in _GFTaggedRowSpace.
+    In tagged mode every row carries a tag, a dict expressing the row
+    over the vectors that were added, updated along with it.  When the
+    tags' keys stand for independent vectors, as they do when each key is
+    added once, with a vector outside the span, the tag that reduce
+    returns is the unique expression of v minus its residual over them,
+    however far the rows were reduced.
+
+    Untagged over GF(p) the rows live in _GFRowSpace instead (XOR-packed
+    ints over GF(2), one int64 matrix otherwise).
     """
 
     def __new__(cls, field, ncols, tagged=False):
-        if field.characteristic > 0:
+        if cls is RowSpace and field.characteristic > 0 and not tagged:
             load_numpy()
-            if cls is RowSpace:
-                return super().__new__(_GFTaggedRowSpace if tagged else _GFRowSpace)
+            return super().__new__(_GFRowSpace)
         return super().__new__(cls)
 
     def __init__(self, field, ncols, tagged=False):
         self.field = field
         self.ncols = ncols
-        self._rows = {}  # pivot column -> row (a dict untagged, a list tagged)
+        self._p = field.characteristic
+        self._rows = {}  # pivot column -> row, a dict of its nonzero entries
         self.tags = {} if tagged else None  # pivot column -> tag dict
-        self._support = {}  # tagged: pivot column -> nonzero (column, entry) pairs
-        self._clean = True  # untagged: every pivot column is zero in the other rows
+        self._clean = True  # every pivot column is zero in the other rows
 
     @property
     def dim(self):
@@ -117,39 +125,22 @@ class RowSpace:
     @property
     def rows(self):
         """Pivot column -> basis row, in reduced echelon form."""
-        if self.tags is not None:
-            return self._rows
         self._back_substitute()
         return {c: self._dense(row) for c, row in self._rows.items()}
 
     def basis(self):
         """Basis rows in increasing pivot order, as plain lists."""
         rows = self.rows
-        return [list(rows[c]) for c in sorted(rows)]
+        return [rows[c] for c in sorted(rows)]
 
     def _check_length(self, v):
         if len(v) != self.ncols:
             raise ValueError(f"vector of length {len(v)} in a space of {self.ncols} columns")
 
-    def reduce(self, v, tag=None):
-        """Reduce v modulo the span; returns (residual as a list, tag).
-
-        In tagged mode the returned tag expresses residual = v_original -
-        (combination of previously added vectors); callers that add
-        vectors with their own tags can use it to recover coordinates.
-        Both are divided by the elimination's scale once, here, so they
-        are linear in v and exact (ints or rationals over QQ).
-        """
-        self._check_length(v)
-        v, tag, scale = self._reduce_internal(v, tag)
-        if scale != 1:
-            div = self.field.div
-            v = [div(x, scale) for x in v]
-            if tag:
-                tag = {k: div(t, scale) for k, t in tag.items()}
-        return list(v), tag
-
-    # -- untagged QQ: sparse semi-echelon rows ----------------------------------------
+    def _check_columns(self, v):
+        """Refuse a dict with a column that is not an int in range(ncols)."""
+        if v and not (set(map(type, v)) <= {int} and 0 <= min(v) and max(v) < self.ncols):
+            raise ValueError(f"vector with a column outside range({self.ncols})")
 
     def _dense(self, row):
         v = [0] * self.ncols
@@ -157,40 +148,96 @@ class RowSpace:
             v[j] = x
         return v
 
-    def _sparse_reduce(self, v):
-        """(w, s): w = s*v - (a combination of the rows), as a dict of its
-        nonzero int entries, zero in every pivot column, and s > 0.  v is
-        cleared of denominators on entry."""
-        w = dict(compress(enumerate(v), v))
-        scale = 1
-        if not set(map(type, w.values())) <= {int}:
-            ratios = {j: x.as_integer_ratio() for j, x in w.items()}
-            scale = lcm(*{q for _, q in ratios.values()})
-            w = {j: p * (scale // q) for j, (p, q) in ratios.items()}
-        hits = list(w.keys() & self._rows.keys())
-        heapify(hits)
-        w, s = self._eliminate(w, hits)
-        return w, scale * s
+    def reduce(self, v, tag=None):
+        """Reduce v, a list or a dict of its nonzero entries (column ->
+        value), modulo the span; returns (residual, tag).  The residual is
+        a list untagged, and a dict of its nonzero entries in tagged mode.
 
-    def _eliminate(self, w, hits):
-        """(s*w - (a combination of the rows), s) for the dict w, cleared
-        in the pivot columns on the heap hits, lowest first, and in those
-        the steps bring in.  A step against the row of pivot c computes
+        In tagged mode the returned tag expresses residual = v_original -
+        (combination of previously added vectors); callers that add
+        vectors with their own tags can use it to recover coordinates.
+        Both are divided by the elimination's scale once, here, so they
+        are linear in v and exact (ints or rationals over QQ).
+        """
+        w, tag, scale = self._reduce_internal(v, tag)
+        if scale != 1:
+            div = self.field.div
+            w = {j: div(x, scale) for j, x in w.items()}
+            if tag:
+                tag = {k: div(t, scale) for k, t in tag.items()}
+        return (w if self.tags is not None else self._dense(w)), tag
+
+    def _reduce_internal(self, v, tag=None):
+        """(w, tag, s): w = s*v - (a combination of the rows), as a dict of
+        its nonzero entries, zero in every pivot column, with s > 0; in
+        tagged mode the tag is carried along the same way (else None)."""
+        w, tag, scale = self._entries(v, tag)
+        hits = list(w.keys() & self._rows.keys())
+        if not hits:
+            return w, tag, scale
+        heapify(hits)
+        w, tag, s = self._eliminate(w, hits, tag)
+        return w, tag, scale * s
+
+    def _entries(self, v, tag):
+        """(d*v as a new dict of its nonzero int entries, d*tag as a new
+        dict or None untagged, d).  Over QQ d > 0 is the least that clears
+        every denominator; all-int input, the common case, has d = 1.
+        Over GF(p) entries are taken mod p and d = 1."""
+        if isinstance(v, dict):
+            self._check_columns(v)
+            w = dict(v) if all(v.values()) else {j: x for j, x in v.items() if x}
+        else:
+            self._check_length(v)
+            w = dict(compress(enumerate(v), v))
+        if self.tags is not None:
+            tag = {k: t for k, t in tag.items() if t} if tag else {}
+        p = self._p
+        if p:
+            w = {j: x for j, x in ((j, int(x) % p) for j, x in w.items()) if x}
+            return w, tag, 1
+        types = set(map(type, w.values()))
+        if tag:
+            types.update(map(type, tag.values()))
+        if types <= {int}:
+            return w, tag, 1
+        ratios = {j: x.as_integer_ratio() for j, x in w.items()}
+        tag_ratios = {k: t.as_integer_ratio() for k, t in (tag or {}).items()}
+        d = lcm(*{q for _, q in ratios.values()}, *{q for _, q in tag_ratios.values()})
+        w = {j: n * (d // q) for j, (n, q) in ratios.items()}
+        if tag is not None:
+            tag = {k: n * (d // q) for k, (n, q) in tag_ratios.items()}
+        return w, tag, d
+
+    def _eliminate(self, w, hits, tag=None):
+        """(s*w - (a combination of the rows), s*tag - (the same
+        combination of their tags), s) for the int dict w, cleared in the
+        pivot columns on the heap hits, lowest first, and in those the
+        steps bring in.  A step against the row of pivot c computes
         (pv*w - a*row)/g for a = w[c] and g = gcd(a, pv); it may update w
-        in place."""
-        rows = self._rows
+        and tag in place.  Over GF(p), where pv = 1 and a is taken mod p,
+        the entries grow by less than p^2 a step and are reduced mod p
+        once, at the end, so both fields share the loop."""
+        rows, tags, p = self._rows, self.tags, self._p
         scale = 1
         while hits:
             c = heappop(hits)
             a = w.get(c)
             if a is None:  # cleared by an earlier step
                 continue
+            if p:
+                a %= p
+                if not a:
+                    del w[c]
+                    continue
             row = rows[c]
             pv = row[c]
             g = gcd(a, pv)
             if g != pv:
                 m = pv // g
                 w = {j: m * x for j, x in w.items()}
+                if tag is not None:
+                    tag = {k: m * t for k, t in tag.items()}
                 scale *= m
             a //= g
             get = w.get
@@ -206,15 +253,39 @@ class RowSpace:
                         w[j] = x
                     else:
                         del w[j]
-        return w, scale
+            if tag is not None:
+                get = tag.get
+                for k, t in tags[c].items():
+                    x = get(k, 0) - a * t
+                    if x:
+                        tag[k] = x
+                    else:
+                        del tag[k]  # tags hold no zeros, so k was there
+        if p:
+            w = {j: x for j, x in ((j, x % p) for j, x in w.items()) if x}
+            if tag:
+                tag = {k: t for k, t in ((k, t % p) for k, t in tag.items()) if t}
+        return w, tag, scale
 
-    @staticmethod
-    def _primitive(w, pivot):
-        """w divided by its content, with a positive pivot entry."""
-        g = gcd(*w.values())
-        if w[pivot] < 0:
+    def _normalise(self, w, tag, pivot):
+        """w with a unit pivot entry over GF(p); over QQ, w divided by its
+        content, with a positive pivot entry.  The tag is divided with it,
+        and in tagged QQ mode the content is taken over the tag's entries
+        too, so tags stay integral."""
+        a = w[pivot]
+        p = self._p
+        if p:
+            if a == 1:
+                return w, tag
+            inv = pow(a, -1, p)
+            w = {j: x * inv % p for j, x in w.items()}
+            return w, tag and {k: t * inv % p for k, t in tag.items()}
+        g = gcd(*w.values(), *tag.values()) if tag else gcd(*w.values())
+        if a < 0:
             g = -g
-        return {j: x // g for j, x in w.items()} if g != 1 else w
+        if g == 1:
+            return w, tag
+        return {j: x // g for j, x in w.items()}, tag and {k: t // g for k, t in tag.items()}
 
     def _back_substitute(self):
         """Clear each pivot column in the other rows, last pivot first:
@@ -222,179 +293,45 @@ class RowSpace:
         against one clears its own pivot column and no other."""
         if self._clean:
             return
-        rows = self._rows
+        rows, tags = self._rows, self.tags
         for c in sorted(rows, reverse=True):
             row = rows[c]
             hits = [j for j in row if j != c and j in rows]
             if hits:
                 heapify(hits)
-                rows[c] = self._primitive(self._eliminate(dict(row), hits)[0], c)
+                tag = None if tags is None else dict(tags[c])
+                w, tag, _ = self._eliminate(dict(row), hits, tag)
+                rows[c], tag = self._normalise(w, tag, c)
+                if tags is not None:
+                    tags[c] = tag
         self._clean = True
 
-    # -- tagged: dense rows, kept fully reduced ----------------------------------------
-
-    def _reduce_internal(self, v, tag=None):
-        """(w, tag, s) with w = s*v - (a combination of the rows), zero in
-        every pivot column, the tag carried along the same way, and s > 0."""
-        if self.tags is None:
-            w, scale = self._sparse_reduce(v)
-            return self._dense(w), None, scale
-        rows, tags = self._rows, self.tags
-        v, tag, scale = self._convert(v, dict(tag or {}))
-        # a step against one row scales v's other pivot entries by a positive
-        # pv and leaves zero ones zero, so the rows to use are known upfront
-        for c in list(compress(rows, map(v.__getitem__, rows))):
-            a, pv = v[c], rows[c][c]
-            v = self._combine(pv, v, a, c)
-            self._tag_combine(pv, tag, a, tags[c])
-            scale *= pv
-        return v, tag, scale
-
-    @staticmethod
-    def _convert(v, tag):
-        """(d*v, d*tag, d) for the least d > 0 that makes every entry of v
-        and of the tag dict an int; the tag is updated in place.  All-int
-        input, the common case, comes back at once with d = 1."""
-        if set(map(type, v)).union(map(type, tag.values())) <= {int}:
-            return list(v), tag, 1
-        ratios = [x.as_integer_ratio() for x in v]
-        tag_ratios = [(k, t.as_integer_ratio()) for k, t in tag.items()]
-        d = lcm(*{q for _, q in ratios}, *{q for _, (_, q) in tag_ratios})
-        for k, (p, q) in tag_ratios:
-            tag[k] = p * (d // q)
-        if d == 1:
-            return [p for p, _ in ratios], tag, 1
-        return [p * (d // q) for p, q in ratios], tag, d
-
-    def _combine(self, pv, v, a, c):
-        """pv*v - a*(row c); updates v in place when pv is 1."""
-        if pv != 1:
-            v = [pv * x for x in v]
-        for j, y in self._support[c]:
-            v[j] -= a * y
-        return v
-
-    def _tag_combine(self, pv, tag, a, other):
-        """tag = pv*tag - a*other, in place, dropping entries that become
-        zero."""
-        p = self.field.characteristic
-        if pv != 1:
-            for k in tag:
-                tag[k] *= pv
-        for k, t in other.items():
-            nt = tag.get(k, 0) - a * t
-            if p:
-                nt %= p
-            if nt:
-                tag[k] = nt
-            else:
-                tag.pop(k, None)
-
-    @staticmethod
-    def _first_nonzero(v):
-        return next(compress(count(), v), None)
-
-    @staticmethod
-    def _normalise(v, tag, pivot):
-        """Divide v by its content, and its tag with it, so that v is
-        primitive with a positive pivot entry.  The content is taken over
-        the tag's entries too, so tags stay integral."""
-        g = gcd(*v, *tag.values())
-        if v[pivot] < 0:
-            g = -g
-        if g != 1:
-            v = [x // g for x in v]
-            tag = {k: t // g for k, t in tag.items()}
-        return v, tag
-
-    def _store(self, c, row, tag):
-        self._rows[c] = row
-        self._support[c] = list(compress(enumerate(row), row))
-        self.tags[c] = tag
-
-    # -- both modes ----------------------------------------------------------------------
-
     def add(self, v, tag=None):
-        """Add v to the span.  Returns the new pivot column, or None if v
-        was already in the span."""
-        self._check_length(v)
-        if self.tags is None:
-            w, _ = self._sparse_reduce(v)
-            if not w:
-                return None
-            pivot = min(w)
-            self._rows[pivot] = self._primitive(w, pivot)
-            self._clean = False
-            return pivot
-        v, tag, _ = self._reduce_internal(v, tag)
-        pivot = self._first_nonzero(v)
-        if pivot is None:
+        """Add v, a list or a dict of its nonzero entries, to the span.
+        Returns the new pivot column, or None if v was already in the
+        span."""
+        w, tag, _ = self._reduce_internal(v, tag)
+        if not w:
             return None
-        v, tag = self._normalise(v, tag, pivot)
-        pv = v[pivot]
-        rows, tags = self._rows, self.tags
-        hits = [c for c, row in rows.items() if row[pivot]]
-        self._store(pivot, v, tag)
-        # keep the basis fully reduced: clear the new pivot column everywhere
-        for c in hits:
-            a = rows[c][pivot]
-            row = self._combine(pv, rows[c], a, pivot)
-            self._tag_combine(pv, tags[c], a, tag)
-            self._store(c, *self._normalise(row, tags[c], c))
+        pivot = min(w)
+        self._rows[pivot], tag = self._normalise(w, tag, pivot)
+        if tag is not None:
+            self.tags[pivot] = tag
+        self._clean = False
         return pivot
 
     def contains(self, v):
-        self._check_length(v)
-        if self.tags is None:
-            return not self._sparse_reduce(v)[0]
-        res, _, _ = self._reduce_internal(v)
-        return self._first_nonzero(res) is None
+        return not self._reduce_internal(v)[0]
 
     def copy(self):
         out = RowSpace(self.field, self.ncols, tagged=self.tags is not None)
-        if self.tags is None:
-            # untagged rows are replaced, never updated in place, so a copy
-            # may share them
-            out._rows = dict(self._rows)
-            out._clean = self._clean
-        else:
-            out._rows = {c: r.copy() for c, r in self._rows.items()}
-            out._support = dict(self._support)
-            out.tags = {c: dict(t) for c, t in self.tags.items()}
+        # rows and tags are replaced, never updated in place, so a copy may
+        # share them
+        out._rows = dict(self._rows)
+        if self.tags is not None:
+            out.tags = dict(self.tags)
+        out._clean = self._clean
         return out
-
-
-class _GFTaggedRowSpace(RowSpace):
-    """Tagged RowSpace over GF(p): rows are numpy int64 arrays reduced mod
-    p with unit pivots, so every reduction step is v - a*row."""
-
-    def _convert(self, v, tag):
-        p = self.field.p
-        if isinstance(v, np.ndarray):
-            v = v % p
-        else:
-            v = np.fromiter((int(x) % p for x in v), dtype=np.int64, count=len(v))
-        return v, tag, 1
-
-    def _combine(self, pv, v, a, c):
-        return (v - int(a) * self._rows[c]) % self.field.p
-
-    @staticmethod
-    def _first_nonzero(v):
-        nz = np.nonzero(v)[0]
-        return int(nz[0]) if len(nz) else None
-
-    def _normalise(self, v, tag, pivot):
-        p = self.field.p
-        a = int(v[pivot])
-        if a == 1:
-            return v, tag
-        inv = pow(a, p - 2, p)
-        return (inv * v) % p, {k: inv * t % p for k, t in tag.items()}
-
-    def _store(self, c, row, tag):
-        self._rows[c] = row
-        self.tags[c] = tag
 
 
 class _GFRowSpace(RowSpace):
@@ -499,9 +436,30 @@ class _GFRowSpace(RowSpace):
 
     # -- elimination -----------------------------------------------------------------
 
+    def _vector(self, v):
+        """v, checked, with a dict spread out to an int64 array."""
+        if not isinstance(v, dict):
+            self._check_length(v)
+            return v
+        self._check_columns(v)
+        out = np.zeros(self.ncols, dtype=np.int64)
+        out[list(v)] = [int(x) % self.p for x in v.values()]
+        return out
+
+    def reduce(self, v, tag=None):
+        """The residual of v modulo the span, as a list of int64 entries,
+        and None."""
+        return list(self._reduce_internal(v)[0]), None
+
     def _reduce_internal(self, v, tag=None):
+        v = self._vector(v)
         if self._xor is not None:
             return self._unpack([self._xor_reduce(self._pack(v))])[0], tag, 1
+        return self._reduce_dense(v), tag, 1
+
+    def _reduce_dense(self, v):
+        """p > 2: the checked v, mod p, minus its components along the rows,
+        as an int64 array."""
         if isinstance(v, np.ndarray):
             v = v % self.p
         else:
@@ -511,10 +469,10 @@ class _GFRowSpace(RowSpace):
             nz = np.nonzero(coeffs)[0]
             if len(nz):
                 v = (v - coeffs[nz] @ self._buf[nz, : self.ncols]) % self.p
-        return v, tag, 1
+        return v
 
     def add(self, v, tag=None):
-        self._check_length(v)
+        v = self._vector(v)
         if self._xor is not None:
             w = self._xor_reduce(self._pack(v))
             if not w:
@@ -525,7 +483,7 @@ class _GFRowSpace(RowSpace):
             self._pivot_bits |= low
             self._pivots.append(pivot)
             return pivot
-        v, _, _ = self._reduce_internal(v)
+        v = self._reduce_dense(v)
         nz = np.nonzero(v)[0]
         if not len(nz):
             return None
@@ -551,11 +509,10 @@ class _GFRowSpace(RowSpace):
         return pivot
 
     def contains(self, v):
-        self._check_length(v)
+        v = self._vector(v)
         if self._xor is not None:
             return not self._xor_reduce(self._pack(v))
-        res, _, _ = self._reduce_internal(v)
-        return not res.any()
+        return not self._reduce_dense(v).any()
 
     def copy(self):
         out = _GFRowSpace(self.field, self.ncols)

@@ -23,7 +23,10 @@ polynomial vectors over the stalk generators.  A boundary element at u is
 a flat {(edge, target generator, monomial): coefficient} dict over the
 edge modules' monomials.  Passing u runs one tagged elimination per degree
 d (RowSpace, tagged mode), which finds the new generators, lifts the
-sections and yields the kernel of the cover map at once:
+sections and yields the kernel of the cover map at once.  Boundary
+elements enter it as sparse {column: coefficient} dicts, one column per
+(edge, generator, monomial) of the degree, and their residuals come back
+the same way:
 
 * first the psi-images of the generators below d, on the monomial basis
   (gen, m) of the free cover: the image of (gen, m / x_j) one degree down
@@ -326,6 +329,8 @@ def compute_sheaf(graph: MomentGraph, field=QQ, degree_bound=None) -> MomentGrap
 
 
 def _boundary_coords(graph, stalks, edge_rings, up_edges, degree):
+    """The column of every (edge, target generator, monomial) of the edge
+    modules at the new vertex in the given degree."""
     layout = []
     for k in up_edges:
         e = graph.edges[k]
@@ -334,14 +339,7 @@ def _boundary_coords(graph, stalks, edge_rings, up_edges, degree):
             if gd <= degree:
                 for m in reduced_monomials(ring.nvars, ring.pivot, degree - gd):
                     layout.append((k, j, m))
-    return layout, {key: c for c, key in enumerate(layout)}
-
-
-def _boundary_vector(field, elt, layout, pos):
-    v = [field.zero] * len(layout)
-    for key, c in elt.items():
-        v[pos[key]] = c
-    return v
+    return {key: c for c, key in enumerate(layout)}
 
 
 def _res_image(graph, edge_rings, up_edges, section):
@@ -397,8 +395,8 @@ def _attach_vertex(
     images = {}  # (generator, monomial) -> psi-image, in the current degree
     kernel = []  # tags of the cover kernel, a basis in the current degree
     for d in range(sweep + 1):
-        layout, pos = _boundary_coords(graph, stalks, edge_rings, up_edges, d)
-        space = RowSpace(field, len(layout), tagged=True)
+        pos = _boundary_coords(graph, stalks, edge_rings, up_edges, d)
+        space = RowSpace(field, len(pos), tagged=True)
         # psi on the monomial basis (gen, m) of the free cover in degree d,
         # generators below d first: the image of (gen, m / x_j) raised by
         # x_j, the last variable dividing m.  A dependent image leaves the
@@ -411,9 +409,9 @@ def _attach_vertex(
                 down = m[:last] + (m[last] - 1,) + m[last + 1:]
                 img = _raise_boundary_elt(field, prev[(gi, down)], last, edge_rings)
                 images[(gi, m)] = img
-                vec = _boundary_vector(field, img, layout, pos)
+                vec = {pos[key]: c for key, c in img.items()}
                 res, rtag = space.reduce(vec, {(gi, m): one})
-                if any(res):
+                if res:
                     space.add(res, rtag)
                 else:
                     kernel.append(rtag)
@@ -424,8 +422,8 @@ def _attach_vertex(
             img = _res_image(graph, edge_rings, up_edges, sections[si])
             if not img:
                 continue
-            res, rtag = space.reduce(_boundary_vector(field, img, layout, pos))
-            if not any(res):
+            res, rtag = space.reduce({pos[key]: c for key, c in img.items()})
+            if not res:
                 lifts[si] = {key: field.neg(c) for key, c in rtag.items()}
                 continue
             if not char_p and d >= r_v:
@@ -455,15 +453,12 @@ def _attach_vertex(
         span = RowSpace(field, len(coords))
         for kv in prev_kernel:
             for var in range(nvars):
-                vec = [field.zero] * len(coords)
-                for (gi, m), c in kv.items():
-                    vec[cpos[(gi, m[:var] + (m[var] + 1,) + m[var + 1:])]] = c
-                span.add(vec)
+                span.add({
+                    cpos[(gi, m[:var] + (m[var] + 1,) + m[var + 1:])]: c
+                    for (gi, m), c in kv.items()
+                })
         for kt in kernel:
-            vec = [field.zero] * len(coords)
-            for key, c in kt.items():
-                vec[cpos[key]] = c
-            if span.add(vec) is not None:
+            if span.add({cpos[key]: c for key, c in kt.items()}) is not None:
                 if d == sweep:
                     raise TruncationBoundError(
                         f"cover-kernel generator at the sweep bound {sweep}"

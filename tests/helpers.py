@@ -1,8 +1,11 @@
 """Shared fixtures: small posets built by hand, independent of the library
 code they are used to test."""
 
+from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
+from klsc.field import QQ
 from klsc.poset import RankedPoset
 
 
@@ -146,3 +149,141 @@ def build_parser():
     common_flags(p)
     p.set_defaults(fn=_cmd_validate)
     return parser
+
+
+def _primitive(v, pivot):
+    g = gcd(*v)
+    if v[pivot] < 0:
+        g = -g
+    return [x // g for x in v]
+
+
+class _EagerRowSpace:
+    """The untagged QQ RowSpace as it was before its rows were kept
+    semi-echelon: a reduced echelon basis of primitive int rows with
+    positive pivots, where every add clears its new pivot column from all
+    older rows.  Rows are replaced, never updated in place."""
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.rows = {}
+
+    def _reduce(self, v):
+        d = lcm(*(Fraction(x).denominator for x in v))
+        v = [int(Fraction(x) * d) for x in v]
+        scale = d
+        # the basis is fully reduced, so one pass in any order clears v
+        for c, row in self.rows.items():
+            a, pv = v[c], row[c]
+            if a:
+                v = [pv * x - a * y for x, y in zip(v, row)]
+                scale *= pv
+        return v, scale
+
+    def reduce(self, v):
+        w, scale = self._reduce(v)
+        return [QQ.div(x, scale) for x in w]
+
+    def add(self, v):
+        w, _ = self._reduce(v)
+        pivot = next((c for c, x in enumerate(w) if x), None)
+        if pivot is None:
+            return None
+        w = _primitive(w, pivot)
+        for c, row in self.rows.items():
+            a = row[pivot]
+            if a:
+                self.rows[c] = _primitive([w[pivot] * x - a * y for x, y in zip(row, w)], c)
+        self.rows[pivot] = w
+        return pivot
+
+    def basis(self):
+        return [self.rows[c] for c in sorted(self.rows)]
+
+    def copy(self):
+        out = _EagerRowSpace(self.ncols)
+        out.rows = dict(self.rows)
+        return out
+
+
+class _EagerTaggedRowSpace:
+    """The tagged RowSpace as it was before its rows were kept sparse and
+    semi-echelon: dense rows, kept fully reduced, where every add clears
+    its new pivot column from all other rows and carries their tags
+    along.  Over QQ a row is a primitive int list with a positive pivot,
+    its content taken over its tag's entries too; over GF(p) a row has a
+    unit pivot and entries mod p.  Vectors are lists or {column: value}
+    dicts; tags are dicts of their nonzero entries."""
+
+    def __init__(self, field, ncols):
+        self.field = field
+        self.ncols = ncols
+        self.p = field.characteristic
+        self.rows = {}  # pivot column -> row list
+        self.tags = {}  # pivot column -> tag dict
+
+    def _convert(self, v, tag):
+        """(d*v as a list, d*tag as a new dict, d) with every entry an int,
+        reduced mod p over GF(p), where d = 1."""
+        if isinstance(v, dict):
+            v = [v.get(j, 0) for j in range(self.ncols)]
+        tag = {k: t for k, t in (tag or {}).items() if t}
+        if self.p:
+            tag = {k: t % self.p for k, t in tag.items() if t % self.p}
+            return [int(x) % self.p for x in v], tag, 1
+        d = lcm(*(Fraction(x).denominator for x in [*v, *tag.values()]))
+        v = [int(Fraction(x) * d) for x in v]
+        return v, {k: int(Fraction(t) * d) for k, t in tag.items()}, d
+
+    def _combine(self, pv, v, tag, a, c):
+        """(pv*v - a*row c, pv*tag - a*tag c), mod p over GF(p)."""
+        v = [pv * x - a * y for x, y in zip(v, self.rows[c])]
+        tag = {k: pv * t for k, t in tag.items()}
+        for k, t in self.tags[c].items():
+            tag[k] = tag.get(k, 0) - a * t
+        if self.p:
+            v = [x % self.p for x in v]
+            tag = {k: t % self.p for k, t in tag.items()}
+        return v, {k: t for k, t in tag.items() if t}
+
+    def _reduce(self, v, tag):
+        v, tag, scale = self._convert(v, tag)
+        # the basis is fully reduced, so one pass in any order clears v
+        for c, row in self.rows.items():
+            a, pv = v[c], row[c]
+            if a:
+                v, tag = self._combine(pv, v, tag, a, c)
+                scale *= pv
+        return v, tag, scale
+
+    def _normalise(self, v, tag, pivot):
+        if self.p:
+            inv = pow(v[pivot], -1, self.p)
+            return (
+                [x * inv % self.p for x in v],
+                {k: t * inv % self.p for k, t in tag.items()},
+            )
+        g = gcd(*v, *tag.values())
+        if v[pivot] < 0:
+            g = -g
+        return [x // g for x in v], {k: t // g for k, t in tag.items()}
+
+    def reduce(self, v, tag=None):
+        """(residual list, tag), both divided by the elimination's scale."""
+        v, tag, scale = self._reduce(v, tag)
+        div = self.field.div
+        return [div(x, scale) for x in v], {k: div(t, scale) for k, t in tag.items()}
+
+    def add(self, v, tag=None):
+        v, tag, _ = self._reduce(v, tag)
+        pivot = next((c for c, x in enumerate(v) if x), None)
+        if pivot is None:
+            return None
+        v, tag = self._normalise(v, tag, pivot)
+        hits = [c for c, row in self.rows.items() if row[pivot]]
+        self.rows[pivot], self.tags[pivot] = v, tag
+        for c in hits:
+            row, rtag = self.rows[c], self.tags[c]
+            row, rtag = self._combine(v[pivot], row, rtag, row[pivot], pivot)
+            self.rows[c], self.tags[c] = self._normalise(row, rtag, c)
+        return pivot

@@ -1,9 +1,10 @@
 """Fields, exact linear algebra, polynomials, graded modules."""
 
+import copy
 import itertools
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from klsc.graded import (
 from klsc.linalg import RowSpace, kernel_basis, matvec, rref, solve_linear
 from klsc.poly import MultiPoly, UniPoly, monomial_space_dim, poly_reverse_check
 
-from helpers import dense_matvec
+from helpers import _EagerRowSpace, _EagerTaggedRowSpace, dense_matvec
 
 
 # ints and Fractions, integral ones among the latter included
@@ -287,61 +288,6 @@ def _exact(vec):
     return all(isinstance(x, (int, Fraction)) for x in vec)
 
 
-def _primitive(v, pivot):
-    g = gcd(*v)
-    if v[pivot] < 0:
-        g = -g
-    return [x // g for x in v]
-
-
-class _EagerRowSpace:
-    """The untagged QQ RowSpace as it was before its rows were kept
-    semi-echelon: a reduced echelon basis of primitive int rows with
-    positive pivots, where every add clears its new pivot column from all
-    older rows.  Rows are replaced, never updated in place."""
-
-    def __init__(self, ncols):
-        self.ncols = ncols
-        self.rows = {}
-
-    def _reduce(self, v):
-        d = lcm(*(Fraction(x).denominator for x in v))
-        v = [int(Fraction(x) * d) for x in v]
-        scale = d
-        # the basis is fully reduced, so one pass in any order clears v
-        for c, row in self.rows.items():
-            a, pv = v[c], row[c]
-            if a:
-                v = [pv * x - a * y for x, y in zip(v, row)]
-                scale *= pv
-        return v, scale
-
-    def reduce(self, v):
-        w, scale = self._reduce(v)
-        return [QQ.div(x, scale) for x in w]
-
-    def add(self, v):
-        w, _ = self._reduce(v)
-        pivot = next((c for c, x in enumerate(w) if x), None)
-        if pivot is None:
-            return None
-        w = _primitive(w, pivot)
-        for c, row in self.rows.items():
-            a = row[pivot]
-            if a:
-                self.rows[c] = _primitive([w[pivot] * x - a * y for x, y in zip(row, w)], c)
-        self.rows[pivot] = w
-        return pivot
-
-    def basis(self):
-        return [self.rows[c] for c in sorted(self.rows)]
-
-    def copy(self):
-        out = _EagerRowSpace(self.ncols)
-        out.rows = dict(self.rows)
-        return out
-
-
 _ROWSPACE_OPS = ("add", "add", "add", "contains", "reduce", "dim", "basis", "rows", "copy")
 
 
@@ -362,6 +308,40 @@ def _rowspace_programs(draw):
         st.one_of(st.just([]), st.just([]), st.lists(st.integers(-2, 2), min_size=1, max_size=3)),
     )
     return ncols, draw(st.lists(step, max_size=30))
+
+
+_TAGGED_OPS = ("add", "add", "add", "add_residual", "reduce", "reduce", "contains", "rows", "copy")
+
+
+@st.composite
+def _tagged_programs(draw):
+    """(field, ncols, steps) for a run of tagged RowSpace calls over QQ
+    (int entries, and fractions with denominators up to 4), GF(2) or
+    GF(5).  A step is (op, which space, vector, coefficients, c, as dict):
+    as in _rowspace_programs, with coefficients and earlier adds the vector
+    is that combination of the latest added vectors; an add tags it as c
+    times its key's vector, and with as dict it is handed over as a dict
+    of its nonzero entries."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(5)]))
+    p = field.characteristic
+    ncols = draw(st.integers(0, 7))
+    if p:
+        entry = st.integers(-6, 6)
+        unit = st.integers(1, p - 1)
+    else:
+        entry = st.one_of(
+            st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        )
+        unit = st.sampled_from([1, -1, 2, Fraction(1, 3), Fraction(-3, 4)])
+    step = st.tuples(
+        st.sampled_from(_TAGGED_OPS),
+        st.integers(0, 3),
+        st.lists(entry, min_size=ncols, max_size=ncols),
+        st.one_of(st.just([]), st.just([]), st.lists(st.integers(-2, 2), min_size=1, max_size=3)),
+        unit,
+        st.booleans(),
+    )
+    return field, ncols, draw(st.lists(step, max_size=30))
 
 
 class TestLinalg:
@@ -387,7 +367,8 @@ class TestLinalg:
             assert space.contains(target) == (not any(expected))
             # the tag rebuilds the residual: residual = target + sum tag_k * row_k
             res, tag = tagged.reduce(target)
-            assert res == expected
+            assert [res.get(j, 0) for j in range(ncols)] == expected
+            assert 0 not in res.values()
             comb = [Fraction(x) for x in target]
             for k, c in tag.items():
                 comb = [x + c * y for x, y in zip(comb, rows[k])]
@@ -460,6 +441,66 @@ class TestLinalg:
         for space, ref in pairs:
             assert space.basis() == ref.basis()
 
+    @settings(max_examples=300, deadline=None)
+    @given(_tagged_programs())
+    def test_tagged_rowspace_matches_eager_reference(self, program):
+        """Interleaved add, reduce, contains, rows and copy on the sparse
+        semi-echelon tagged RowSpace give exactly what the dense, fully
+        reduced reference gives: the same pivots, dim, residuals and tags
+        (values and types), and, once read, the same reduced echelon rows
+        and row tags.  Every tag rebuilds its residual from the vectors
+        its keys stand for."""
+        field, ncols, steps = program
+        p = field.characteristic
+        pairs = [(RowSpace(field, ncols, tagged=True), _EagerTaggedRowSpace(field, ncols))]
+        added = []
+        values = {}  # tag key -> the vector it stands for
+        for i, (op, which, vec, coeffs, c, as_dict) in enumerate(steps):
+            space, ref = pairs[which % len(pairs)]
+            if coeffs and added:
+                vec = [sum(a * v[j] for a, v in zip(coeffs, reversed(added))) for j in range(ncols)]
+            arg = {j: x for j, x in enumerate(vec) if x} if as_dict else vec
+            if op == "add":
+                # the vector added is c times the one its key stands for
+                values[i] = [field.div(x, c) for x in vec]
+                pivot = space.add(arg, {i: c})
+                assert pivot == ref.add(vec, {i: c})
+                if pivot is not None:
+                    added.append(vec)
+            elif op == "contains":
+                assert space.contains(arg) == (not any(ref.reduce(vec)[0]))
+            elif op == "rows":
+                assert space.rows == ref.rows and space.tags == ref.tags
+                assert sorted(space.tags) == sorted(ref.tags)
+            elif op == "copy":
+                pairs.append((space.copy(), copy.deepcopy(ref)))
+            else:
+                # reduce, untagged or as the vector of key i; add_residual
+                # then adds a nonzero residual with its tag
+                given_tag = {i: 1} if op == "add_residual" else None
+                values[i] = vec
+                res, tag = space.reduce(arg, given_tag)
+                expected, expected_tag = ref.reduce(vec, given_tag)
+                dense = [res.get(j, 0) for j in range(ncols)]
+                assert dense == expected and 0 not in res.values()
+                assert [type(res.get(j, x)) for j, x in enumerate(expected)] == list(
+                    map(type, expected)
+                )
+                assert tag == expected_tag
+                assert {k: type(t) for k, t in tag.items()} == {
+                    k: type(t) for k, t in expected_tag.items()
+                }
+                rebuilt = [0] * ncols if given_tag else list(vec)
+                for k, t in tag.items():
+                    rebuilt = [x + t * y for x, y in zip(rebuilt, values[k])]
+                assert dense == ([x % p for x in rebuilt] if p else rebuilt)
+                if op == "add_residual" and res:
+                    assert space.add(res, tag) == ref.add(expected, expected_tag)
+                    added.append(dense)
+            assert space.dim == len(ref.rows)
+        for space, ref in pairs:
+            assert space.rows == ref.rows and space.tags == ref.tags
+
     def test_qq_copy_taken_before_back_substitution(self):
         space = RowSpace(QQ, 4)
         assert space.add([0, 1, 1, 0]) == 1
@@ -478,7 +519,10 @@ class TestLinalg:
     def test_rowspace_refuses_a_vector_of_the_wrong_length(self, field, tagged):
         space = RowSpace(field, 3, tagged=tagged)
         space.add([1, 0, 1])
-        for v in ([1, 0], [1, 0, 1, 1], np.array([1, 1]), np.array([0, 1, 1, 0])):
+        wrong = ([1, 0], [1, 0, 1, 1], np.array([1, 1]), np.array([0, 1, 1, 0]))
+        # dicts with a column outside range(3), or one that is not an int
+        bad_columns = ({3: 1}, {-1: 1}, {0: 1, 5: 1}, {"1": 1}, {1.0: 1}, {True: 1})
+        for v in wrong + bad_columns:
             with pytest.raises(ValueError):
                 space.add(v)
             with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
 """Golden digests of the moment-graph sheaf: per interval, the stalk
 degrees at every vertex, the generator degrees of the global sections and
-every stalk's Poincare polynomial.  The digests in
+every stalk's Poincare polynomial.  The B2 and A3 digests in
 data/momentsheaf_digests.json were computed by the implementation that
 eliminated each degree of a boundary module twice (an untagged sweep for
-the generators, then a tagged span of psi images), so any change in how
-the sheaf is built must leave all of this unchanged.
+the generators, then a tagged span of psi images); the G2 and C3 digests
+by the one that eliminated it once, in a tagged RowSpace whose rows were
+dense and kept fully reduced.  G2 and C3 have edge labels that lead with
+a 2, so their eliminations clear denominators.  Any change in how the
+sheaf is built must leave all of this unchanged.
 
 Regenerate them only on purpose:  python tests/test_momentsheaf_golden.py
 """
@@ -24,18 +27,22 @@ DIGESTS = Path(__file__).resolve().parent / "data" / "momentsheaf_digests.json"
 
 def intervals():
     """(key, group, v, w, field): every B2 interval over QQ and GF(5),
-    every A3 interval [e, w] over QQ, and A3 [e, w0] over GF(5)."""
+    every A3 interval [e, w] over QQ, every G2 interval [e, w] over QQ and
+    GF(5), and [e, w0] in A3 over GF(5) and in C3 over QQ."""
     out = []
-    for name, lowers, fields in (("B2", True, (QQ, GF(5))), ("A3", False, (QQ,))):
+    for name, lowers, fields in (
+        ("B2", True, (QQ, GF(5))), ("A3", False, (QQ,)), ("G2", False, (QQ, GF(5))),
+    ):
         W = CoxeterGroup(CartanDatum.from_type(name))
         for w in range(W.size):
             below = enumerate_interval(W, W.identity, w).elements if lowers else [W.identity]
             for v in below:
                 for field in fields:
                     out.append((_key(W, name, v, w, field), W, v, w, field))
-    W = CoxeterGroup(CartanDatum.from_type("A3"))
-    w0 = W.longest_element()
-    out.append((_key(W, "A3", W.identity, w0, GF(5)), W, W.identity, w0, GF(5)))
+    for name, field in (("A3", GF(5)), ("C3", QQ)):
+        W = CoxeterGroup(CartanDatum.from_type(name))
+        w0 = W.longest_element()
+        out.append((_key(W, name, W.identity, w0, field), W, W.identity, w0, field))
     return out
 
 
