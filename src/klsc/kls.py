@@ -15,7 +15,11 @@ deg f_xy < r_xy / 2, and
 
 The solver reads the coefficients of f_xz off the top half of the right
 side and then asserts the full identity, which is both the uniqueness
-argument and a consistency check on the kernel.
+argument and a consistency check on the kernel.  Since f_xz depends only
+on the f_yz with y in [x, z], each column z is closed: solve_kls solves
+and asserts either every comparable pair, or only the pairs (x, top) of
+one column when the caller reads nothing else (the CLI's route
+comparisons and `fan ih`).
 
 Three kernel families are provided: (t-1)^r on Eulerian posets,
 characteristic polynomials of intervals on geometric lattices, and
@@ -110,21 +114,26 @@ class KLSTable:
         return self.table.keys()
 
 
-def solve_kls(kernel: Kernel) -> KLSTable:
-    """The unique KLS family of the kernel.
+def solve_kls(kernel: Kernel, top=None) -> KLSTable:
+    """The unique KLS family of the kernel, or one column of it.
 
-    For each pair, g := sum over x < y <= z of kappa_xy f_yz must equal
-    t^r f_xz(1/t) - f_xz; the top coefficients of g determine f_xz and the
-    rest of the identity is asserted.  An assertion failure means the
-    table was not a kernel (or the recursion has no solution).
+    f_xz depends only on the f_yz with y in [x, z], so each column z is
+    solved on its own, from its top down.  With top=None every comparable
+    pair is solved; with an element top, only the pairs (x, top) with
+    x <= top, and the table holds exactly those.  For each solved pair,
+    g := sum over x < y <= z of kappa_xy f_yz must equal t^r f_xz(1/t) -
+    f_xz; the top coefficients of g determine f_xz and the rest of the
+    identity is asserted.  An assertion failure means the table was not a
+    kernel (or the recursion has no solution).
     """
     P = kernel.poset
     one = UniPoly.one()
     f = {}
     order = sorted(P.elements(), key=lambda x: (-P.rank[x], x))
-    for z in P.elements():
+    columns = P.elements() if top is None else (top,)
+    for z in columns:
         f[(z, z)] = one
-    for z in P.elements():
+    for z in columns:
         for x in order:
             if x == z or not P.leq(x, z):
                 continue

@@ -5,8 +5,9 @@ along covers.  The order relation is stored as one bitmask per element
 (up[x] = set of y >= x, down[x] = set of y <= x), which keeps interval and
 upper-set queries cheap at the scales this package works at (a few
 thousand elements).  One more mask per rank level lets joins and meets be
-read off with a few bit operations, so the lattice tests, which ask for
-the join and meet of every pair, stay cheap too.
+read off with a few bit operations.  The lattice tests make one set
+lookup per pair (does it have a meet) and, on a graded poset, test
+semimodularity only on the pairs of covers of a common element.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ class RankedPoset:
         position = {r: i for i, r in enumerate(order)}
         self._level_of = [position[r] for r in self.rank]
         self._mobius_cache = {}
+        self._geometric = None
 
     # -- basic queries ---------------------------------------------------------
 
@@ -232,17 +234,34 @@ class RankedPoset:
                 return z if self.down[z] == mask else None
         return None
 
-    def is_lattice(self):
-        if self.bottom() is None or self.top() is None:
-            return False
+    def _every_pair_has_a_meet(self):
+        """x and y have a meet exactly when their common lower bounds are
+        the lower bounds of one element z, i.e. down[x] & down[y] is some
+        down[z]."""
+        down = self.down
+        lower_sets = set(down)
         for x in range(self.n):
+            dx = down[x]
             for y in range(x + 1, self.n):
-                if self.join(x, y) is None or self.meet(x, y) is None:
+                if dx & down[y] not in lower_sets:
                     return False
         return True
 
+    def is_lattice(self):
+        # with a top, every pair has an upper bound, and the meet of all
+        # the upper bounds is the join
+        if self.bottom() is None or self.top() is None:
+            return False
+        return self._every_pair_has_a_meet()
+
     def is_geometric_lattice(self):
-        """Atomic and semimodular, with rank 0 bottom."""
+        """Atomic and semimodular, with rank 0 bottom.  Computed once per
+        poset."""
+        if self._geometric is None:
+            self._geometric = self._test_geometric()
+        return self._geometric
+
+    def _test_geometric(self):
         b = self.bottom()
         if b is None or self.top() is None or self.rank[b] != 0:
             return False
@@ -259,12 +278,34 @@ class RankedPoset:
             if common != self.up[x]:
                 return False
         rank = self.rank
-        for x in range(self.n):
-            for y in range(x + 1, self.n):
-                j = self.join(x, y)
-                m = self.meet(x, y)
-                if j is None or m is None or rank[j] + rank[m] > rank[x] + rank[y]:
-                    return False
+        if any(rank[y] != rank[x] + 1 for x, y in self.covers):
+            # the rank is not the length of the chains from the bottom, so
+            # compare the ranks of every join and meet
+            for x in range(self.n):
+                for y in range(x + 1, self.n):
+                    j = self.join(x, y)
+                    m = self.meet(x, y)
+                    if j is None or m is None or rank[j] + rank[m] > rank[x] + rank[y]:
+                        return False
+            return True
+        # graded with the rank as its rank function: a lattice is
+        # semimodular exactly when any two covers x, y of one element are
+        # covered by x v y (Stanley, EC1, Prop. 3.3.2), i.e. have a common
+        # upper cover, one level above theirs
+        if not self._every_pair_has_a_meet():
+            return False
+        up, levels, level_of = self.up, self._levels, self._level_of
+        for z in range(self.n):
+            ups = self.covers_up[z]
+            if len(ups) < 2:
+                continue
+            # two covers of z are not the unique top, so a level lies above
+            above = levels[level_of[z] + 2]
+            for i, x in enumerate(ups):
+                ux = up[x] & above
+                for y in ups[i + 1:]:
+                    if not ux & up[y]:
+                        return False
         return True
 
     # -- derived posets --------------------------------------------------------------

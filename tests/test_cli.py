@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -622,6 +623,32 @@ class TestDeterminism:
             data.pop("timings_ms", None)
             outs.append(json.dumps(data, sort_keys=True))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["matroid", "z", "--all-flats", "--compare-recursion", "--input", "u34"],
+        ["coxeter", "kl", "--type", "B2", "--w", "1,2,1", "--compare-recursion"],
+        ["fan", "g", "--input", "square"],
+        ["fan", "ih", "--cone", "1", "--input", "square"],
+    ])
+    def test_runs_differ_only_inside_flat_timings(self, tmp_path, capsys, argv):
+        """timings_ms holds total, recursion and sheaf as flat integers, so
+        one regex strips the object, and the rest is byte-identical."""
+        flat_timings = re.compile(r'\n  "timings_ms": \{[^{}]*\},?')
+        paths = {"u34": write(tmp_path, "u34.json", U34),
+                 "square": write(tmp_path, "square.json", SQUARE)}
+        argv = [paths.get(token, token) for token in argv]
+        texts = []
+        for _ in range(2):
+            assert main(argv) == 0
+            text = capsys.readouterr().out
+            timings = json.loads(text)["timings_ms"]
+            assert sorted(timings) == ["recursion", "sheaf", "total"]
+            assert all(type(v) is int and v >= 0 for v in timings.values())
+            assert timings["recursion"] + timings["sheaf"] == timings["total"]
+            stripped, found = flat_timings.subn("", text)
+            assert found == 1
+            texts.append(stripped)
+        assert texts[0] == texts[1]
 
     def test_output_file_and_pretty(self, tmp_path, capsys):
         path = write(tmp_path, "u34.json", U34)

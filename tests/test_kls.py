@@ -1,12 +1,22 @@
 """Kernel axioms, the KLS solver, Z-polynomials, inequality scans."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from klsc.errors import NonEulerianError, NotGeometricError
+from klsc.coxeter import CartanDatum, CoxeterGroup, enumerate_interval
+from klsc.errors import (
+    InvalidInputError,
+    InvalidKernelError,
+    NonEulerianError,
+    NotGeometricError,
+)
+from klsc.fans import cone_over_polytope, fan_face_poset
 from klsc.kls import (
     Kernel,
+    coxeter_R_kernel,
     eulerian_kernel,
     kalai_check,
     matroid_kernel,
@@ -15,8 +25,10 @@ from klsc.kls import (
     verify_kernel,
     z_polynomial,
 )
+from klsc.matroids import Matroid
 from klsc.poly import UniPoly
 from klsc.poset import RankedPoset, boolean_lattice, chain
+from klsc.validate import matroid_corpus
 
 from helpers import simplex_cone_face_poset, square_cone_face_poset, uniform_flats_poset
 
@@ -202,3 +214,102 @@ class TestInequalities:
         table = solve_kls(eulerian_kernel(simplex_cone_face_poset(3)))
         ok, _ = kalai_check(table)
         assert ok
+
+
+# -- one column of the recursion ------------------------------------------------
+
+
+def random_cone_face_poset(draw):
+    """The face poset of the cone over a random lattice polytope: 3 to 7
+    points in {0,1,2}^d, d = 2 or 3; points that do not affinely span are
+    rejected, interior points dropped."""
+    d = draw(st.sampled_from([2, 3]))
+    point = st.tuples(*[st.integers(0, 2)] * d)
+    points = draw(st.lists(point, min_size=d + 1, max_size=7, unique=True))
+    try:
+        fan = cone_over_polytope([list(p) for p in points])
+    except InvalidInputError:
+        assume(False)
+    return fan_face_poset(fan)
+
+
+@functools.cache
+def matroid_lattices():
+    """The desk corpus's lattices of flats, built once."""
+    return [m.lattice() for _, m in matroid_corpus()]
+
+
+@st.composite
+def kernels(draw):
+    """A kernel of one of the three families and an element of its poset."""
+    family = draw(st.sampled_from(["eulerian", "corpus", "uniform", "coxeter"]))
+    if family == "eulerian":
+        kernel = eulerian_kernel(random_cone_face_poset(draw))
+    elif family == "corpus":
+        kernel = matroid_kernel(draw(st.sampled_from(matroid_lattices())))
+    elif family == "uniform":
+        n = draw(st.integers(1, 6))
+        k = draw(st.integers(1, n))
+        kernel = matroid_kernel(Matroid.uniform(k, n).lattice())
+    else:
+        group, intervals = draw(st.sampled_from(bruhat_intervals()))
+        v, w = draw(st.sampled_from(intervals))
+        kernel = coxeter_R_kernel(enumerate_interval(group, v, w))
+    z = draw(st.integers(0, kernel.poset.n - 1))
+    return kernel, z
+
+
+@functools.cache
+def bruhat_intervals():
+    """(group, every pair v <= w) for A3 and B2."""
+    out = []
+    for name in ("A3", "B2"):
+        W = CoxeterGroup(CartanDatum.from_type(name))
+        pairs = [(v, w) for v in range(W.size) for w in range(W.size) if W.bruhat_leq(v, w)]
+        out.append((W, pairs))
+    return out
+
+
+def column(P, z):
+    return {(x, z) for x in P.elements() if P.leq(x, z)}
+
+
+class TestColumnSolve:
+    @settings(max_examples=60, deadline=None)
+    @given(kernels())
+    def test_column_matches_the_full_table(self, kernel_and_top):
+        kernel, z = kernel_and_top
+        full = solve_kls(kernel)
+        col = solve_kls(kernel, top=z)
+        assert set(col.pairs()) == column(kernel.poset, z)
+        for pair in col.pairs():
+            assert col[pair] == full[pair]
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernels(), st.data())
+    def test_column_solve_rejects_a_perturbed_kernel(self, kernel_and_top, data):
+        """Adding t^j, j <= r, to kappa(x, top) adds it to the right side at
+        (x, top), which then has no antisymmetric solution."""
+        kernel, z = kernel_and_top
+        P = kernel.poset
+        below = sorted(x for x, _ in column(P, z) if x != z)
+        assume(below)
+        x = data.draw(st.sampled_from(below))
+        j = data.draw(st.integers(0, kernel.r(x, z)))
+        table = {pair: f for pair, f in kernel.table.items() if pair[0] != pair[1]}
+        table[(x, z)] = table[(x, z)] + UniPoly.one().shift(j)
+        with pytest.raises(InvalidKernelError):
+            solve_kls(Kernel(P, table), top=z)
+
+    def test_every_a3_b2_interval(self):
+        """On every Bruhat interval [v, w] of A3 and B2, the column of w
+        solved alone is the full table's."""
+        for W, pairs in bruhat_intervals():
+            for v, w in pairs:
+                interval = enumerate_interval(W, v, w)
+                kernel = coxeter_R_kernel(interval)
+                top = interval.pos[w]
+                full = solve_kls(kernel)
+                col = solve_kls(kernel, top=top)
+                assert set(col.pairs()) == column(interval.poset, top)
+                assert all(col[pair] == full[pair] for pair in col.pairs())

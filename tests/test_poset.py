@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from klsc.errors import InvalidInputError
+from klsc.errors import InvalidInputError, NotGeometricError
+from klsc.kls import matroid_kernel
+from klsc.matroids import Matroid
 from klsc.poly import UniPoly
 from klsc.poset import RankedPoset, UpperSet, boolean_lattice, chain
 from klsc.validate import matroid_corpus
@@ -228,13 +230,44 @@ def atomic_not_semimodular():
     return RankedPoset([0, 1, 1, 1, 2, 3], covers)
 
 
+def two_lines():
+    """Graded and atomic, but not semimodular: atoms a, b, c, d, the lines
+    ab and cd at rank 2, and a top at rank 3, which is a v c."""
+    covers = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 5), (3, 6), (4, 6), (5, 7), (6, 7)]
+    return RankedPoset([0, 1, 1, 1, 1, 2, 2, 3], covers)
+
+
+def two_joins_of_a_and_b():
+    """Graded and atomic, and any two covers of one element have a common
+    upper cover, but not a lattice: x = abc and y = abd are both minimal
+    upper bounds of a and b (z = cd makes c and d pass the cover test)."""
+    covers = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 5), (3, 5),
+              (1, 6), (2, 6), (4, 6), (3, 7), (4, 7), (5, 8), (6, 8), (7, 8)]
+    return RankedPoset([0, 1, 1, 1, 1, 2, 2, 2, 3], covers)
+
+
+def gapped(P, seed):
+    """P with its ranks relabelled by a random increasing map that keeps
+    rank 0, so that covers between consecutive levels may skip ranks."""
+    rng = random.Random(seed)
+    relabel = {}
+    rank = 0
+    for level in sorted(set(P.rank)):
+        if level:
+            rank += rng.randint(1, 3)
+        relabel[level] = rank
+    return RankedPoset([relabel[r] for r in P.rank], P.covers)
+
+
 class TestLattices:
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10_000), st.booleans())
-    def test_matches_definitions_on_random_posets(self, seed, add_bounds):
+    @given(st.integers(0, 10_000), st.booleans(), st.booleans())
+    def test_matches_definitions_on_random_posets(self, seed, add_bounds, skip_ranks):
         P = random_ranked_poset(seed)
         if add_bounds:
             P = bounded(P)
+        if skip_ranks:
+            P = gapped(P, seed)
         for x in P.elements():
             for y in P.elements():
                 assert P.join(x, y) == brute_join(P, x, y)
@@ -258,6 +291,52 @@ class TestLattices:
         assert P.is_lattice()
         assert P.join(1, 2) == 4 and P.join(1, 3) == 5 and P.join(4, 3) == 5
         assert not P.is_geometric_lattice() and not brute_is_geometric(P)
+
+    def test_graded_posets_that_are_not_geometric(self):
+        """Every cover raises the rank by one, so the graded tests decide."""
+        P = two_lines()
+        assert P.is_lattice() and P.join(1, 3) == 7
+        assert not P.is_geometric_lattice() and not brute_is_geometric(P)
+        Q = two_joins_of_a_and_b()
+        assert not Q.is_lattice() and Q.join(1, 2) is None
+        assert not Q.is_geometric_lattice() and not brute_is_geometric(Q)
+
+    def test_gapped_ranks_on_small_lattices_of_flats(self):
+        """Relabelled ranks take the pairwise route; some relabellings keep
+        the rank inequality (concave ones) and some break it."""
+        answers = set()
+        for label, m in matroid_corpus():
+            L = m.lattice()
+            if L.n > 16:
+                continue
+            for seed in range(4):
+                G = gapped(L, seed)
+                answers.add(G.is_geometric_lattice())
+                assert G.is_geometric_lattice() == brute_is_geometric(G), (label, seed)
+        assert answers == {True, False}
+
+    def test_lattice_of_flats_is_tested_once(self, monkeypatch):
+        calls = []
+        test = RankedPoset._test_geometric
+
+        def counted(P):
+            calls.append(P)
+            return test(P)
+
+        monkeypatch.setattr(RankedPoset, "_test_geometric", counted)
+        L = Matroid.uniform(3, 5).lattice()
+        matroid_kernel(L)
+        matroid_kernel(L)
+        assert calls == [L]
+
+    def test_fresh_non_geometric_poset_still_raises(self):
+        # B2 with its top at rank 3: rk(a v b) + rk(a ^ b) = 3 > rk a + rk b
+        convex = RankedPoset([0, 1, 1, 3], boolean_lattice(2).covers)
+        for P in (n5(), atomic_not_semimodular(), convex, two_lines(), two_joins_of_a_and_b()):
+            with pytest.raises(NotGeometricError):
+                matroid_kernel(P)
+            with pytest.raises(NotGeometricError):
+                matroid_kernel(P)
 
     def test_desk_corpus_lattices_of_flats_are_geometric(self):
         for label, m in matroid_corpus():
