@@ -210,10 +210,6 @@ class CoxeterGroup:
             x = self.left[s][x]
         return x
 
-    def word_of(self, x):
-        """A reduced word (0-based), fixed per element."""
-        return self.words[x]
-
     def multiply(self, x, y):
         """The product xy, read from the tables: x's reduced word is applied
         to y one generator at a time through ``left``, with no matrices."""
@@ -230,9 +226,6 @@ class CoxeterGroup:
 
     def left_descents(self, x):
         return [s for s in range(self.rank) if self.has_left_descent(s, x)]
-
-    def longest_element(self):
-        return max(range(self.size), key=lambda x: self.length[x])
 
     # -- reflections and roots ------------------------------------------------------
 
@@ -260,16 +253,6 @@ class CoxeterGroup:
             )
         return self._reflections
 
-    def reflection_matrix_from_root(self, root, coroot):
-        """Matrix of the reflection v -> v - <coroot, v> root on root coords."""
-        a = self.cartan.matrix
-        n = self.rank
-        pair = [sum(coroot[j] * a[j][k] for j in range(n)) for k in range(n)]
-        return tuple(
-            tuple((1 if r == k else 0) - root[r] * pair[k] for k in range(n))
-            for r in range(n)
-        )
-
     # -- Bruhat order -----------------------------------------------------------------
 
     def bruhat_up(self):
@@ -292,20 +275,6 @@ class CoxeterGroup:
 
     def bruhat_leq(self, x, y):
         return bool(self.bruhat_up()[x] >> y & 1)
-
-    def subword_leq(self, x, w):
-        """Bruhat comparison via the subword property (test oracle;
-        exponential in the length of w)."""
-        word = self.words[w]
-        lx = self.length[x]
-        n = len(word)
-        for mask in range(1 << n):
-            if bin(mask).count("1") != lx:
-                continue
-            sub = [word[i] for i in range(n) if mask >> i & 1]
-            if self.from_word(sub) == x:
-                return True
-        return lx == 0
 
     def __repr__(self):
         return f"CoxeterGroup({self.cartan.label or 'custom'}, |W|={self.size})"
@@ -401,31 +370,6 @@ def bruhat_graph(group: CoxeterGroup, interval: BruhatInterval) -> MomentGraph:
     return MomentGraph(interval)
 
 
-@dataclass
-class OpenSubgraph:
-    """Gamma_{>v}: all vertices strictly above v, plus every edge with at
-    least one endpoint among them; edges whose other endpoint is outside
-    are dangling."""
-
-    vertices: set
-    edge_indices: list
-    dangling: set  # subset of edge_indices
-
-
-def gamma_gt(graph: MomentGraph, i) -> OpenSubgraph:
-    poset = graph.interval.poset
-    above = {j for j in graph.vertices if poset.lt(i, j)}
-    edge_indices = []
-    dangling = set()
-    for k, e in enumerate(graph.edges):
-        inside = (e.u in above) + (e.v in above)
-        if inside:
-            edge_indices.append(k)
-            if inside == 1:
-                dangling.add(k)
-    return OpenSubgraph(above, edge_indices, dangling)
-
-
 def p_gkm_check(graph: MomentGraph, p: int):
     """Whether, at every vertex, every pair of incident edge labels stays
     linearly independent over GF(p).  Returns (ok, witness or None) where
@@ -505,17 +449,6 @@ def word_from_permutation(perm):
     return tuple(word)
 
 
-def type_a_ambient_root(cartan: CartanDatum, coords):
-    """Simple-root coordinates -> ambient e_i coordinates for type A:
-    alpha_i = e_i - e_{i+1}."""
-    n = cartan.rank
-    out = [0] * (n + 1)
-    for i, c in enumerate(coords):
-        out[i] += c
-        out[i + 1] -= c
-    return tuple(out)
-
-
 def group_from_json(data) -> CoxeterGroup:
     if "type" in data:
         return CoxeterGroup(CartanDatum.from_type(data["type"]))
@@ -534,6 +467,7 @@ def element_from_json(group: CoxeterGroup, word):
         zero_based = [(int(s) if isinstance(s, str) else read_int(s)) - 1 for s in word]
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"bad word {word!r}") from exc
-    if any(s < 0 for s in zero_based):
-        raise InvalidInputError("generator indices are 1-based")
+    for s in zero_based:
+        if not 0 <= s < group.rank:
+            raise InvalidInputError(f"generator {s + 1} out of range 1..{group.rank}")
     return group.from_word(zero_based)

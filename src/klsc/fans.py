@@ -465,17 +465,10 @@ class FanLocalModel:
     def __init__(self, fan: Fan):
         self.fan = fan
         self.field = QQ
-        self.ambient_nvars = fan.ambient_dim
         self.charts = {i: ConeChart(fan, i) for i in range(fan.n_cones())}
-        self._amb_forms = {
-            i: self.charts[i].ambient_var_forms() for i in range(fan.n_cones())
-        }
 
     def nvars(self, x):
         return self.charts[x].nvars
-
-    def ambient_var_form(self, y, a):
-        return self._amb_forms[y][a]
 
     def boundary(self, x, view):
         from klsc.graded import GradedModule
@@ -515,13 +508,3 @@ def g_polynomial(vertices):
     poset, sheaf = build_fan_sheaf(fan)
     bottom = poset.bottom()
     return sheaf.stalk_poincare(bottom)
-
-
-def unimodular_image(fan: Fan, matrix) -> Fan:
-    """The fan with every ray transformed by an invertible integer matrix
-    (rows act on column vectors); used for lattice-invariance checks."""
-    d = fan.ambient_dim
-    new_rays = []
-    for r in fan.rays:
-        new_rays.append(tuple(sum(matrix[i][j] * r[j] for j in range(d)) for i in range(d)))
-    return Fan(d, [_primitive(r) for r in new_rays], fan.cones)

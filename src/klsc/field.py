@@ -89,16 +89,6 @@ class Rationals:
     def is_zero(self, a):
         return not a
 
-    def eq(self, a, b):
-        return a == b
-
-    def to_str(self, a):
-        """Serialize in canonical lowest terms "p/q" (q > 0), or "p" if integral."""
-        num, den = a.numerator, a.denominator
-        if den == 1:
-            return str(num)
-        return f"{num}/{den}"
-
     def parse(self, s):
         """Parse "p/q" or "p" (also accepts ints, but not booleans, which
         read_int refuses too)."""
@@ -177,12 +167,6 @@ class PrimeField:
 
     def is_zero(self, a):
         return a % self.p == 0
-
-    def eq(self, a, b):
-        return (a - b) % self.p == 0
-
-    def to_str(self, a):
-        return str(a % self.p)
 
     def parse(self, s):
         return int(s) % self.p

@@ -63,12 +63,6 @@ class FreeModuleShape:
             coeffs[d] += 1
         return UniPoly(coeffs)
 
-    def shifted(self, k) -> "FreeModuleShape":
-        return FreeModuleShape(d + k for d in self.degrees)
-
-    def union(self, other) -> "FreeModuleShape":
-        return FreeModuleShape(tuple(self.degrees) + tuple(other.degrees))
-
     def free_dims(self, nvars, up_to):
         """Degreewise dimensions of the free module on these generators
         over a polynomial ring in nvars variables."""
@@ -106,11 +100,6 @@ class GradedModule:
         self.bases = [list(b) for b in bases]
         self.raising = raising
 
-    def dim(self, i):
-        if i < 0:
-            return 0
-        return len(self.bases[i])
-
     def dims(self):
         return [len(b) for b in self.bases]
 
@@ -127,19 +116,6 @@ class GradedModule:
             for b in self.bases[i - 1]:
                 space.add(self.apply_raising(v, i - 1, b))
         return space
-
-    def validate(self):
-        """Check that every raising map carries the realized degree-i
-        subspace into the realized degree-(i+1) subspace."""
-        for i in range(self.bound):
-            target = RowSpace(self.field, self.ambient_dims[i + 1])
-            for b in self.bases[i + 1]:
-                target.add(b)
-            for v in range(self.nvars):
-                for b in self.bases[i]:
-                    if not target.contains(self.apply_raising(v, i, b)):
-                        return False
-        return True
 
 
 def minimal_generators(module: GradedModule):
@@ -167,42 +143,3 @@ def minimal_generators(module: GradedModule):
 def minimal_generator_degrees(module: GradedModule) -> FreeModuleShape:
     """Generator degrees of the minimal free cover of the module."""
     return FreeModuleShape(d for d, _ in minimal_generators(module))
-
-
-def free_graded_module(field, nvars, shape: FreeModuleShape, bound) -> GradedModule:
-    """The free module on the given generators, realized concretely with
-    ambient coordinates (generator, monomial)."""
-    from klsc.poly import monomials
-
-    gens = list(shape.degrees)
-    layout = []  # per degree: list of (gen index, exponent tuple)
-    for i in range(bound + 1):
-        coords = []
-        for gi, d in enumerate(gens):
-            if d <= i:
-                for m in monomials(nvars, i - d):
-                    coords.append((gi, m))
-        layout.append(coords)
-    index = [{key: pos for pos, key in enumerate(coords)} for coords in layout]
-    ambient_dims = [len(c) for c in layout]
-    bases = []
-    for i in range(bound + 1):
-        eye = []
-        for pos in range(ambient_dims[i]):
-            v = [field.zero] * ambient_dims[i]
-            v[pos] = field.from_int(1)
-            eye.append(v)
-        bases.append(eye)
-    # a variable maps each monomial to one monomial: one entry per column
-    one = field.from_int(1)
-    raising = [
-        [
-            [
-                [(index[i + 1][(gi, m[:var] + (m[var] + 1,) + m[var + 1 :])], one)]
-                for gi, m in layout[i]
-            ]
-            for i in range(bound)
-        ]
-        for var in range(nvars)
-    ]
-    return GradedModule(field, nvars, bound, ambient_dims, bases, raising)

@@ -107,9 +107,6 @@ class KLSTable:
     def __getitem__(self, pair):
         return self.table[pair]
 
-    def r(self, x, y):
-        return self.poset.rank[y] - self.poset.rank[x]
-
     def pairs(self):
         return self.table.keys()
 

@@ -320,9 +320,6 @@ class RowSpace:
         self._clean = False
         return pivot
 
-    def contains(self, v):
-        return not self._reduce_internal(v)[0]
-
     def copy(self):
         out = RowSpace(self.field, self.ncols, tagged=self.tags is not None)
         # rows and tags are replaced, never updated in place, so a copy may
@@ -507,12 +504,6 @@ class _GFRowSpace(RowSpace):
         self._k += 1
         self._pivots.append(pivot)
         return pivot
-
-    def contains(self, v):
-        v = self._vector(v)
-        if self._xor is not None:
-            return not self._xor_reduce(self._pack(v))
-        return not self._reduce_dense(v).any()
 
     def copy(self):
         out = _GFRowSpace(self.field, self.ncols)

@@ -94,10 +94,10 @@ from __future__ import annotations
 
 from operator import mul
 
-from klsc.errors import DegreeBoundError, InconsistentSystemError, TruncationBoundError
+from klsc.errors import DegreeBoundError, TruncationBoundError
 from klsc.field import QQ
-from klsc.graded import FreeModuleShape, GradedModule
-from klsc.linalg import RowSpace, kernel_basis, load_numpy, matvec, solve_linear
+from klsc.graded import FreeModuleShape
+from klsc.linalg import RowSpace, kernel_basis, load_numpy
 from klsc.matroids import Matroid
 from klsc.poly import UniPoly
 from klsc.poset import RankedPoset
@@ -576,24 +576,6 @@ class MatroidIHSheaf:
 # -- public operations ------------------------------------------------------------------
 
 
-def kl_polynomial(matroid: Matroid, field=QQ) -> UniPoly:
-    """The Kazhdan-Lusztig polynomial of the matroid: Poincare polynomial
-    of the reduced bottom stalk of the sheaf."""
-    return matroid_sheaf(matroid, field).kl_polynomial()
-
-
-def z_polynomial_sheaf(matroid: Matroid, field=QQ) -> UniPoly:
-    """The Z-polynomial: Poincare polynomial of the reduced global
-    sections of the sheaf."""
-    return matroid_sheaf(matroid, field).z_polynomial()
-
-
-def all_stalk_polynomials(matroid: Matroid, field=QQ):
-    """Flat index -> Poincare polynomial of the reduced stalk there."""
-    sheaf = matroid_sheaf(matroid, field)
-    return {j: sheaf.stalk_poincare(j) for j in range(len(sheaf.flats))}
-
-
 def shifted_stalk_shape(matroid: Matroid, field=QQ) -> FreeModuleShape:
     """Multiset union over flats F of the stalk shape shifted by rk F; by
     the basis-lifting theorem this equals the global section shape."""
@@ -603,114 +585,3 @@ def shifted_stalk_shape(matroid: Matroid, field=QQ) -> FreeModuleShape:
         shift = sheaf.lattice.rank[j]
         degrees.extend(g + shift for g in sheaf.stalk_shapes[j])
     return FreeModuleShape(degrees)
-
-
-# -- local model for the generic poset-sheaf engine (validation path) ---------------------
-
-
-class MatroidLocalModel:
-    """Boundary module at a flat F: the quotient of the sections over the
-    open interval (F, E] by the images of y_G for all flats G > F.  This
-    is the same construction the fast path runs; it exists so the generic
-    engine can cross-check it on small matroids."""
-
-    def __init__(self, matroid: Matroid, field=QQ):
-        self.matroid = matroid
-        self.field = field
-        self.lattice = matroid.lattice()
-        self.ambient_nvars = 1
-
-    def nvars(self, x):
-        return 1
-
-    def ambient_var_form(self, y, a):
-        return [self.field.from_int(1)]
-
-    def boundary(self, x, view):
-        field = self.field
-        L = self.lattice
-        bound = view.sheaf.bound
-        layouts = [view.layout(d) for d in range(bound + 1)]
-        positions = [{key: c for c, key in enumerate(lay)} for lay in layouts]
-
-        def y_image(vec, d, g):
-            """y_g acting on a degree-d section vector, landing in degree
-            d + (rk g - rk x); the h-exponent of every kept coordinate
-            rises by the shift."""
-            shift = L.rank[g] - L.rank[x]
-            out = [field.zero] * len(layouts[d + shift])
-            for c, (h, gi, m) in enumerate(layouts[d]):
-                a = vec[c]
-                if not field.is_zero(a) and L.leq(g, h):
-                    out[positions[d + shift][(h, gi, (m[0] + shift,))]] = a
-            return out
-
-        above = [g for g in L.elements() if L.lt(x, g)]
-        nspaces = []
-        for d in range(bound + 1):
-            nspace = RowSpace(field, len(layouts[d]))
-            for g in above:
-                shift = L.rank[g] - L.rank[x]
-                if shift > d:
-                    continue
-                for v in view.bases[d - shift]:
-                    nspace.add(y_image(v, d - shift, g))
-            nspaces.append(nspace)
-
-        # quotient coordinates: representatives of F_d modulo the y-span.
-        # Together with the basis of N_d they are independent, the columns
-        # of the system that to_quotient_coords solves
-        reps = []
-        columns = []
-        for d in range(bound + 1):
-            span = nspaces[d].copy()
-            basis = []
-            for v in view.bases[d]:
-                if span.add(v) is not None:
-                    basis.append(v)
-            reps.append(basis)
-            known = nspaces[d].basis() + basis
-            columns.append([[v[c] for v in known] for c in range(len(layouts[d]))])
-
-        def to_quotient_coords(vec, d):
-            try:
-                x = solve_linear(columns[d], vec, field)
-            except InconsistentSystemError as exc:
-                raise TruncationBoundError("vector escapes the quotient basis") from exc
-            return x[nspaces[d].dim :]
-
-        ambient_dims = [len(reps[d]) for d in range(bound + 1)]
-        bases = []
-        for d in range(bound + 1):
-            eye = []
-            for c in range(ambient_dims[d]):
-                v = [field.zero] * ambient_dims[d]
-                v[c] = field.from_int(1)
-                eye.append(v)
-            bases.append(eye)
-        # h acts on the quotient coordinates of each representative
-        raising = [[]]
-        for d in range(bound):
-            h = view.sheaf.raising(view.elems, d, lambda y: [field.from_int(1)])
-            cols = []
-            for v in reps[d]:
-                qc = to_quotient_coords(matvec(h, v, field, len(layouts[d + 1])), d + 1)
-                cols.append([(r, a) for r, a in enumerate(qc) if not field.is_zero(a)])
-            raising[0].append(cols)
-        module = GradedModule(field, 1, bound, ambient_dims, bases, raising)
-        # res takes quotient coordinates: its kernel is N_d, and the
-        # representatives lift the module's coordinate vectors
-        kernel = [nspaces[d].basis() for d in range(bound + 1)]
-        rep_cols = [
-            [[(c, a) for c, a in enumerate(v) if a] for v in reps[d]] for d in range(bound + 1)
-        ]
-        return module, kernel, lambda d, v: matvec(rep_cols[d], v, field, len(layouts[d]))
-
-
-def build_matroid_sheaf_generic(matroid: Matroid, field=QQ):
-    """The matroid sheaf via the generic engine; returns (lattice, sheaf).
-    Quadratic and unmemoized, for cross-validation on small matroids."""
-    from klsc.sheaf import build_sheaf
-
-    lattice = matroid.lattice()
-    return lattice, build_sheaf(lattice, MatroidLocalModel(matroid, field))

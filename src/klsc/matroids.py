@@ -21,8 +21,6 @@ rk F.
 
 from __future__ import annotations
 
-import itertools
-
 from klsc.errors import InvalidInputError, NotGeometricError
 from klsc.field import GF, QQ, read_int
 from klsc.linalg import RowSpace
@@ -228,28 +226,6 @@ class Matroid:
 
         return Matroid(7, rank_fn, tag=("fano",))
 
-    @staticmethod
-    def projective_geometry(q, d) -> "Matroid":
-        """The matroid of all points of PG(d-1, q), whose lattice of flats
-        is the lattice of subspaces of GF(q)^d."""
-        field = GF(q)
-        seen = {}
-        for vec in itertools.product(range(q), repeat=d):
-            if not any(vec):
-                continue
-            lead = next(v for v in vec if v)
-            scaled = tuple(field.div(field.from_int(v), field.from_int(lead)) for v in vec)
-            seen.setdefault(scaled, vec)
-        cols = sorted(seen)
-
-        def rank_fn(s):
-            space = RowSpace(field, d)
-            for i in sorted(s):
-                space.add(list(cols[i]))
-            return space.dim
-
-        return Matroid(len(cols), rank_fn, tag=("pg", q, d))
-
     # -- rank, closure, flats -------------------------------------------------------
 
     def rank_of(self, s):
@@ -372,13 +348,6 @@ class Matroid:
         return f"Matroid(n={self.n}, rank={self.rank}, tag={self.tag})"
 
 
-def flats_from_bases(n, bases) -> Matroid:
-    """Build the matroid and its flats from a bases list (validated)."""
-    m = Matroid.from_bases(n, bases)
-    m.flats()
-    return m
-
-
 def p_trivial_criterion(matroid: Matroid, p: int) -> bool:
     """The combinatorial test for mod-p triviality of the sheaf: the
     lattice is modular and no rank-2 interval has exactly 1 mod p middle
@@ -408,46 +377,9 @@ class MobiusAlgebra:
         self.lattice = matroid.lattice()
         self.flats = matroid.flats()
 
-    def join(self, i, j):
-        return self.lattice.join(i, j)
-
     def product(self, i, j):
         """y_i y_j = h^power y_join; returns (power, join index)."""
         L = self.lattice
         k = L.join(i, j)
         power = L.rank[i] + L.rank[j] - L.rank[k]
         return power, k
-
-    def rho(self, i):
-        """Restriction to the fixed point of flat i: a table
-        flat j -> exponent of h, or None for zero."""
-        L = self.lattice
-        return {
-            j: (L.rank[j] if L.leq(j, i) else None) for j in L.elements()
-        }
-
-    def phi(self, i):
-        """Restriction to the contraction at flat i: a table
-        flat j -> (exponent of h, flat of the contraction as a frozenset)."""
-        L = self.lattice
-        out = {}
-        for j in L.elements():
-            power, k = self.product(i, j)
-            out[j] = (power, self.flats[k] - self.flats[i])
-        return out
-
-    def check_commutative_associative(self):
-        L = self.lattice
-        n = L.n
-        for i in range(n):
-            for j in range(n):
-                if self.product(i, j) != self.product(j, i):
-                    return False
-        for i, j, k in itertools.product(range(n), repeat=3):
-            p1, a = self.product(i, j)
-            p2, b = self.product(a, k)
-            q1, c = self.product(j, k)
-            q2, d = self.product(i, c)
-            if (p1 + p2, b) != (q1 + q2, d):
-                return False
-        return True

@@ -48,7 +48,7 @@ from functools import lru_cache
 from operator import add as _add
 
 from klsc.coxeter import MomentGraph
-from klsc.errors import DegreeBoundError, KlscError, PGKMError, TruncationBoundError
+from klsc.errors import DegreeBoundError, PGKMError, TruncationBoundError
 from klsc.field import QQ
 from klsc.graded import FreeModuleShape
 from klsc.linalg import RowSpace
@@ -166,116 +166,6 @@ class MomentGraphSheaf:
         """Poincare polynomial of the reduced stalk at vertex i; over QQ
         this is the KLS-polynomial f_{x_i, w}."""
         return self.stalk_shape(i).poincare()
-
-    def section_generator_degrees(self) -> FreeModuleShape:
-        return FreeModuleShape(s.degree for s in self.sections)
-
-    # -- honest degreewise section spaces (verification path) ------------------
-
-    def _stalk_layout(self, verts, degree):
-        layout = []
-        for i in verts:
-            for gi, gd in enumerate(self.stalks[i]):
-                if gd <= degree:
-                    for m in monomials(self.nvars, degree - gd):
-                        layout.append((i, gi, m))
-        return layout
-
-    def section_dims(self, verts, up_to):
-        """Dimensions of the space of edge-compatible tuples over the given
-        vertex set (must be an upper set of the interval), degree by degree,
-        computed directly as a kernel.  Quadratic in everything; meant for
-        verification at small scale."""
-        verts = set(verts)
-        poset = self.graph.interval.poset
-        for i in verts:
-            for j in self.graph.vertices:
-                if poset.lt(i, j) and j not in verts:
-                    raise KlscError("vertex set is not an upper set")
-        dims = []
-        for d in range(up_to + 1):
-            layout = self._stalk_layout(sorted(verts), d)
-            pos = {key: c for c, key in enumerate(layout)}
-            space = RowSpace(self.field, len(layout))
-            for k, e in enumerate(self.graph.edges):
-                if e.u not in verts or e.v not in verts:
-                    continue
-                for r in self._edge_constraint_rows(k, d, layout, pos):
-                    space.add(r)
-            dims.append(len(layout) - space.dim)
-        return dims
-
-    def _edge_constraint_rows(self, k, degree, layout, pos):
-        """Rows expressing 'image of m_u equals image of m_v in M_E' for
-        edge k, as functionals on the stalk layout."""
-        e = self.graph.edges[k]
-        ring = self.edge_rings[k]
-        field = self.field
-        target_gens = self.stalks[e.v]
-        out = []
-        # target coordinates: (gen j of stalk at e.v, reduced monomial)
-        tcoords = []
-        for j, gd in enumerate(target_gens):
-            if gd <= degree:
-                for m in reduced_monomials(self.nvars, ring.pivot, degree - gd):
-                    tcoords.append((j, m))
-        tpos = {key: c for c, key in enumerate(tcoords)}
-        rows = [[field.zero] * len(layout) for _ in tcoords]
-        # agreement: reduce(m_v part) - lower_map(m_u part) = 0 in M_E
-        for c, (i, gi, m) in enumerate(layout):
-            if i == e.v:
-                red = ring.reduce(MultiPoly(field, self.nvars, {m: field.from_int(1)}))
-                for em, cc in red.terms.items():
-                    row = rows[tpos[(gi, em)]]
-                    row[c] = field.add(row[c], cc)
-            elif i == e.u:
-                img = self.lower_maps[k][gi]  # list of reduced MultiPoly
-                mono = MultiPoly(field, self.nvars, {m: field.from_int(1)})
-                for j, ip in enumerate(img):
-                    if ip.is_zero():
-                        continue
-                    prod = ring.reduce(mono * ip)
-                    for em, cc in prod.terms.items():
-                        row = rows[tpos[(j, em)]]
-                        row[c] = field.sub(row[c], cc)
-        return rows
-
-    def check_section_generators(self, up_to=None):
-        """Verify that the degreewise span of the maintained generating set
-        matches the honest edge-agreement kernel over the full vertex set."""
-        up_to = self.degree_bound if up_to is None else up_to
-        honest = self.section_dims(self.graph.vertices, up_to)
-        spanned = self.spanned_section_dims(self.graph.vertices, up_to)
-        return honest == spanned, honest, spanned
-
-    def spanned_section_dims(self, verts, up_to):
-        verts = set(verts)
-        dims = []
-        for d in range(up_to + 1):
-            layout = self._stalk_layout(sorted(verts), d)
-            pos = {key: c for c, key in enumerate(layout)}
-            space = RowSpace(self.field, len(layout))
-            for s in self.sections:
-                if s.degree > d:
-                    continue
-                for m in monomials(self.nvars, d - s.degree):
-                    space.add(self._section_vector(s, m, verts, layout, pos))
-            dims.append(space.dim)
-        return dims
-
-    def _section_vector(self, s, mono, verts, layout, pos):
-        field = self.field
-        v = [field.zero] * len(layout)
-        mpoly = MultiPoly(field, self.nvars, {mono: field.from_int(1)})
-        for i, polys in s.parts.items():
-            if i not in verts:
-                continue
-            for gi, p in enumerate(polys):
-                if p.is_zero():
-                    continue
-                for e, c in (mpoly * p).terms.items():
-                    v[pos[(i, gi, e)]] = c
-        return v
 
 
 def compute_sheaf(graph: MomentGraph, field=QQ, degree_bound=None) -> MomentGraphSheaf:

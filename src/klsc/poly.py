@@ -100,9 +100,6 @@ class UniPoly:
             return self
         return UniPoly((0,) * k + self.coeffs)
 
-    def eval_at_one(self):
-        return sum(self.coeffs)
-
     def __call__(self, x):
         acc = 0
         for c in reversed(self.coeffs):
@@ -156,11 +153,6 @@ class UniPoly:
         return " + ".join(terms).replace("+ -", "- ")
 
 
-def poly_reverse_check(f: UniPoly, r: int) -> bool:
-    """Whether t^r * f(1/t) = f(t); the palindromicity test."""
-    return f.reverse_check(r)
-
-
 @lru_cache(maxsize=None)
 def monomials(nvars: int, degree: int):
     """All exponent tuples of the given total degree, in a fixed
@@ -176,12 +168,6 @@ def monomials(nvars: int, degree: int):
         out.append(tuple(e))
     out.sort()
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def monomial_index(nvars: int, degree: int):
-    """Map exponent tuple -> position in monomials(nvars, degree)."""
-    return {m: i for i, m in enumerate(monomials(nvars, degree))}
 
 
 def monomial_space_dim(d: int, i: int) -> int:
@@ -225,12 +211,6 @@ class MultiPoly:
         return MultiPoly(field, nvars, {(0,) * nvars: c})
 
     @staticmethod
-    def variable(field, nvars, i):
-        e = [0] * nvars
-        e[i] = 1
-        return MultiPoly(field, nvars, {tuple(e): field.from_int(1)})
-
-    @staticmethod
     def linear_form(field, coeffs):
         n = len(coeffs)
         terms = {}
@@ -253,9 +233,6 @@ class MultiPoly:
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
-
-    def degree(self):
-        return max((sum(e) for e in self.terms), default=NEG_INF)
 
     def __add__(self, other):
         f = self.field
@@ -319,20 +296,6 @@ class MultiPoly:
                     term = term * power(i, k)
             out = out + term
         return out
-
-    def coeff_vector(self, degree):
-        """Coefficients on monomials(nvars, degree), in the canonical order."""
-        idx = monomial_index(self.nvars, degree)
-        v = [self.field.zero] * len(idx)
-        for e, c in self.terms.items():
-            if sum(e) == degree:
-                v[idx[e]] = c
-        return v
-
-    @staticmethod
-    def from_coeff_vector(field, nvars, degree, vec):
-        mons = monomials(nvars, degree)
-        return MultiPoly(field, nvars, {m: c for m, c in zip(mons, vec)})
 
     def __repr__(self):
         if not self.terms:

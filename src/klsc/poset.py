@@ -103,20 +103,6 @@ class RankedPoset:
     def interval_mask(self, x, y):
         return self.up[x] & self.down[y]
 
-    def upper_set(self, x):
-        """The minimal upper set containing x, i.e. {y : x <= y}."""
-        return UpperSet(self, self.up[x])
-
-    def open_upper_set(self, x):
-        """{y : x < y}."""
-        return UpperSet(self, self.up[x] & ~(1 << x))
-
-    def upper_closure(self, elems):
-        mask = 0
-        for x in elems:
-            mask |= self.up[x]
-        return UpperSet(self, mask)
-
     def minimal_of(self, elems):
         """Minimal elements of a subset."""
         elems = list(elems)
@@ -234,10 +220,13 @@ class RankedPoset:
                 return z if self.down[z] == mask else None
         return None
 
-    def _every_pair_has_a_meet(self):
-        """x and y have a meet exactly when their common lower bounds are
-        the lower bounds of one element z, i.e. down[x] & down[y] is some
-        down[z]."""
+    def is_lattice(self):
+        # with a top, every pair has an upper bound, and the meet of all
+        # the upper bounds is the join.  x and y have a meet exactly when
+        # their common lower bounds are the lower bounds of one element z,
+        # i.e. down[x] & down[y] is some down[z]
+        if self.bottom() is None or self.top() is None:
+            return False
         down = self.down
         lower_sets = set(down)
         for x in range(self.n):
@@ -246,13 +235,6 @@ class RankedPoset:
                 if dx & down[y] not in lower_sets:
                     return False
         return True
-
-    def is_lattice(self):
-        # with a top, every pair has an upper bound, and the meet of all
-        # the upper bounds is the join
-        if self.bottom() is None or self.top() is None:
-            return False
-        return self._every_pair_has_a_meet()
 
     def is_geometric_lattice(self):
         """Atomic and semimodular, with rank 0 bottom.  Computed once per
@@ -292,7 +274,7 @@ class RankedPoset:
         # semimodular exactly when any two covers x, y of one element are
         # covered by x v y (Stanley, EC1, Prop. 3.3.2), i.e. have a common
         # upper cover, one level above theirs
-        if not self._every_pair_has_a_meet():
+        if not self.is_lattice():
             return False
         up, levels, level_of = self.up, self._levels, self._level_of
         for z in range(self.n):
@@ -307,39 +289,6 @@ class RankedPoset:
                     if not ux & up[y]:
                         return False
         return True
-
-    # -- derived posets --------------------------------------------------------------
-
-    def subposet(self, elems):
-        """Induced subposet on the given elements (re-indexed).  Returns
-        (poset, old index list)."""
-        elems = sorted(set(elems), key=lambda z: (self.rank[z], z))
-        pos = {x: i for i, x in enumerate(elems)}
-        covers = []
-        for i, x in enumerate(elems):
-            ups = [y for y in elems if self.lt(x, y)]
-            mins = self.minimal_of(ups)
-            covers.extend((i, pos[y]) for y in mins)
-        return (
-            RankedPoset(
-                [self.rank[x] for x in elems],
-                covers,
-                names=[self.names[x] for x in elems],
-            ),
-            elems,
-        )
-
-    def interval_poset(self, x, y):
-        return self.subposet(self.interval(x, y))
-
-    def dual(self):
-        """Same elements with the order reversed; ranks are flipped."""
-        hi = max(self.rank)
-        return RankedPoset(
-            [hi - r for r in self.rank],
-            [(b, a) for a, b in self.covers],
-            names=list(self.names),
-        )
 
     # -- serialization ------------------------------------------------------------------
 
@@ -358,13 +307,6 @@ class RankedPoset:
             return RankedPoset(ranks, [tuple(map(read_int, c)) for c in covers], names=names)
         except (TypeError, ValueError) as exc:
             raise InvalidInputError(f"bad poset JSON: {exc!r}") from exc
-
-    def to_json(self):
-        return {
-            "elements": list(self.names),
-            "rank": list(self.rank),
-            "covers": [list(c) for c in self.covers],
-        }
 
     def __repr__(self):
         return f"RankedPoset(n={self.n}, ranks 0..{max(self.rank)})"
@@ -392,25 +334,5 @@ class UpperSet:
     def __eq__(self, other):
         return isinstance(other, UpperSet) and self.mask == other.mask
 
-    def minimal(self):
-        return self.poset.minimal_of(list(self))
-
     def __repr__(self):
         return f"UpperSet({sorted(self)})"
-
-
-def boolean_lattice(n) -> RankedPoset:
-    """The lattice of subsets of {0..n-1}, ranked by size."""
-    ranks = [bin(s).count("1") for s in range(1 << n)]
-    covers = []
-    for s in range(1 << n):
-        for i in range(n):
-            if not s >> i & 1:
-                covers.append((s, s | 1 << i))
-    names = ["{" + ",".join(str(i) for i in range(n) if s >> i & 1) + "}" for s in range(1 << n)]
-    return RankedPoset(ranks, covers, names=names)
-
-
-def chain(length) -> RankedPoset:
-    """A chain with the given number of covers (length+1 elements)."""
-    return RankedPoset(list(range(length + 1)), [(i, i + 1) for i in range(length)])

@@ -35,29 +35,25 @@ is cut out degreewise by these functionals at each minimal element of Q.
 ``section_space`` returns that kernel's basis as ``kernel_basis`` hands it
 out, already in reduced echelon form, so only the functionals' span
 matters and no section space is eliminated twice.  Restriction maps are
-then literally coordinate projections, and flabbiness is a rank check.
+then literally coordinate projections.
 
 There is no uniform recipe for the boundary module; each instantiation
-(fans, matroid lattices) supplies its own through the LocalModel hooks.
-What they share is the ring action: multiplication by a linear form on
-localization coordinates is built in one place, ``PosetSheaf.raising``,
-as sparse columns, so that raising a vector costs its nonzeros.  Local
-models use it for the raising maps of their boundary modules, and
-``sections_shape`` for the ambient ring.
+supplies its own through the local model's ``nvars`` and ``boundary``
+hooks: fans here, and the matroid model that the test suite cross-checks
+the bespoke matroid sheaf with.  What they share is the ring action:
+multiplication by a linear form on localization coordinates is built in
+one place, ``PosetSheaf.raising``, as sparse columns, so that raising a
+vector costs its nonzeros.  Local models use it for the raising maps of
+their boundary modules.
 """
 
 from __future__ import annotations
 
 from klsc.errors import DegreeBoundError
-from klsc.graded import (
-    FreeModuleShape,
-    GradedModule,
-    minimal_generator_degrees,
-    minimal_generators,
-)
-from klsc.linalg import RowSpace, kernel_basis, matvec
+from klsc.graded import FreeModuleShape, minimal_generators
+from klsc.linalg import kernel_basis, matvec
 from klsc.poly import UniPoly, monomials
-from klsc.poset import RankedPoset, UpperSet
+from klsc.poset import RankedPoset
 
 
 class SectionView:
@@ -130,10 +126,6 @@ class PosetSheaf:
                 rows.append(row)
         return kernel_basis(rows, len(layout), self.field)
 
-    def sections_over(self, upper: UpperSet):
-        """Degreewise dimensions of F(Q)."""
-        return [len(self.section_space(upper.mask, d)) for d in range(self.bound + 1)]
-
     def raising(self, elems, degree, form_of):
         """Multiplication by a linear form on the localization coordinates
         over elems, from the given degree to the next, as sparse columns in
@@ -153,25 +145,6 @@ class PosetSheaf:
             )
         return cols
 
-    def sections_shape(self, upper: UpperSet) -> FreeModuleShape:
-        """Minimal generator degrees of F(Q) over the ambient ring."""
-        elems = self._sorted_upper(upper.mask)
-        model = self.model
-        bases = [self.section_space(upper.mask, d) for d in range(self.bound + 1)]
-        raising = [
-            [
-                self.raising(elems, d, lambda y: model.ambient_var_form(y, a))
-                for d in range(self.bound)
-            ]
-            for a in range(model.ambient_nvars)
-        ]
-        dims = [len(self.layout(elems, d)) for d in range(self.bound + 1)]
-        module = GradedModule(self.field, model.ambient_nvars, self.bound, dims, bases, raising)
-        return minimal_generator_degrees(module)
-
-    def sections_poincare(self, upper: UpperSet) -> UniPoly:
-        return self.sections_shape(upper).poincare()
-
     # -- stalks ------------------------------------------------------------------------
 
     def stalk_shape(self, x) -> FreeModuleShape:
@@ -179,24 +152,6 @@ class PosetSheaf:
 
     def stalk_poincare(self, x) -> UniPoly:
         return self.stalk_shape(x).poincare()
-
-    def restriction_surjective(self, big: UpperSet, small: UpperSet):
-        """Flabbiness check: project a basis of F(big) to the coordinates
-        of F(small) and compare ranks."""
-        if small.mask & ~big.mask:
-            raise ValueError("small set is not contained in the big one")
-        big_elems = self._sorted_upper(big.mask)
-        small_elems = set(self._sorted_upper(small.mask))
-        ok = True
-        for d in range(self.bound + 1):
-            big_layout = self.layout(big_elems, d)
-            pos = [c for c, key in enumerate(big_layout) if key[0] in small_elems]
-            proj = RowSpace(self.field, len(pos))
-            for v in self.section_space(big.mask, d):
-                proj.add([v[c] for c in pos])
-            if proj.dim != len(self.section_space(small.mask, d)):
-                ok = False
-        return ok
 
 
 def build_sheaf(poset: RankedPoset, model) -> PosetSheaf:

@@ -1,12 +1,26 @@
-"""Shared fixtures: small posets built by hand, independent of the library
-code they are used to test."""
+"""Shared fixtures and oracles: small posets built by hand, independent
+of the library code they are used to test, and the reference checks the
+tests compare the library's output against (brute-force definitions,
+section spaces computed the slow way, the generic engine's matroid
+model)."""
 
+import importlib.util
+import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
+from pathlib import Path
 
-from klsc.field import QQ
+from klsc.errors import InconsistentSystemError, KlscError, TruncationBoundError
+from klsc.fans import Fan, FanLocalModel
+from klsc.field import GF, QQ
+from klsc.graded import GradedModule, minimal_generator_degrees
+from klsc.linalg import RowSpace, matvec, solve_linear
+from klsc.matroids import Matroid
+from klsc.momentsheaf import reduced_monomials
+from klsc.poly import MultiPoly, monomials
 from klsc.poset import RankedPoset
+from klsc.sheaf import build_sheaf
 
 
 def square_cone_face_poset():
@@ -287,3 +301,495 @@ class _EagerTaggedRowSpace:
             row, rtag = self._combine(v[pivot], row, rtag, row[pivot], pivot)
             self.rows[c], self.tags[c] = self._normalise(row, rtag, c)
         return pivot
+
+
+# -- posets -----------------------------------------------------------------------
+
+
+def boolean_lattice(n) -> RankedPoset:
+    """The lattice of subsets of {0..n-1}, ranked by size."""
+    ranks = [bin(s).count("1") for s in range(1 << n)]
+    covers = []
+    for s in range(1 << n):
+        for i in range(n):
+            if not s >> i & 1:
+                covers.append((s, s | 1 << i))
+    names = ["{" + ",".join(str(i) for i in range(n) if s >> i & 1) + "}" for s in range(1 << n)]
+    return RankedPoset(ranks, covers, names=names)
+
+
+def chain(length) -> RankedPoset:
+    """A chain with the given number of covers (length+1 elements)."""
+    return RankedPoset(list(range(length + 1)), [(i, i + 1) for i in range(length)])
+
+
+def poset_json(poset):
+    """The poset in the command line's poset JSON format."""
+    return {
+        "elements": list(poset.names),
+        "rank": list(poset.rank),
+        "covers": [list(c) for c in poset.covers],
+    }
+
+
+# -- linear algebra and graded modules ----------------------------------------------
+
+
+def contains(space, v):
+    """Whether v lies in the span of a RowSpace: its residual is zero (a
+    list, or in tagged mode a dict of the nonzero entries)."""
+    residual = space.reduce(v)[0]
+    return not any(residual.values() if isinstance(residual, dict) else residual)
+
+
+def raising_maps_are_closed(module):
+    """Whether every raising map carries the realized degree-i subspace of
+    a GradedModule into the realized degree-(i+1) subspace."""
+    for i in range(module.bound):
+        target = RowSpace(module.field, module.ambient_dims[i + 1])
+        for b in module.bases[i + 1]:
+            target.add(b)
+        for v in range(module.nvars):
+            for b in module.bases[i]:
+                if not contains(target, module.apply_raising(v, i, b)):
+                    return False
+    return True
+
+
+def free_graded_module(field, nvars, shape, bound) -> GradedModule:
+    """The free module on the generators of a FreeModuleShape, realized
+    concretely with ambient coordinates (generator, monomial)."""
+    gens = list(shape.degrees)
+    layout = []  # per degree: list of (gen index, exponent tuple)
+    for i in range(bound + 1):
+        coords = []
+        for gi, d in enumerate(gens):
+            if d <= i:
+                for m in monomials(nvars, i - d):
+                    coords.append((gi, m))
+        layout.append(coords)
+    index = [{key: pos for pos, key in enumerate(coords)} for coords in layout]
+    ambient_dims = [len(c) for c in layout]
+    bases = []
+    for i in range(bound + 1):
+        eye = []
+        for pos in range(ambient_dims[i]):
+            v = [field.zero] * ambient_dims[i]
+            v[pos] = field.from_int(1)
+            eye.append(v)
+        bases.append(eye)
+    # a variable maps each monomial to one monomial: one entry per column
+    one = field.from_int(1)
+    raising = [
+        [
+            [
+                [(index[i + 1][(gi, m[:var] + (m[var] + 1,) + m[var + 1 :])], one)]
+                for gi, m in layout[i]
+            ]
+            for i in range(bound)
+        ]
+        for var in range(nvars)
+    ]
+    return GradedModule(field, nvars, bound, ambient_dims, bases, raising)
+
+
+# -- the generic sheaf engine: section spaces the slow way ------------------------
+
+
+def sections_over(sheaf, upper):
+    """Degreewise dimensions of F(Q) for an UpperSet Q of a PosetSheaf."""
+    return [len(sheaf.section_space(upper.mask, d)) for d in range(sheaf.bound + 1)]
+
+
+def ambient_forms(model):
+    """Per variable of the ambient ring, its linear form on R_y as a
+    function of y: the coordinates x_a read in each cone's chart for a
+    fan, the single variable h for a matroid."""
+    if isinstance(model, FanLocalModel):
+        return [
+            lambda y, a=a: model.charts[y].ambient_var_forms()[a]
+            for a in range(model.fan.ambient_dim)
+        ]
+    one = model.field.from_int(1)
+    return [lambda y: [one]]
+
+
+def sections_shape(sheaf, upper):
+    """Minimal generator degrees of F(Q) over the ambient ring."""
+    elems = sheaf._sorted_upper(upper.mask)
+    forms = ambient_forms(sheaf.model)
+    bases = [sheaf.section_space(upper.mask, d) for d in range(sheaf.bound + 1)]
+    raising = [[sheaf.raising(elems, d, form_of) for d in range(sheaf.bound)] for form_of in forms]
+    dims = [len(sheaf.layout(elems, d)) for d in range(sheaf.bound + 1)]
+    module = GradedModule(sheaf.field, len(forms), sheaf.bound, dims, bases, raising)
+    return minimal_generator_degrees(module)
+
+
+def sections_poincare(sheaf, upper):
+    return sections_shape(sheaf, upper).poincare()
+
+
+def restriction_surjective(sheaf, big, small):
+    """Flabbiness check: project a basis of F(big) to the coordinates of
+    F(small) and compare ranks."""
+    if small.mask & ~big.mask:
+        raise ValueError("small set is not contained in the big one")
+    big_elems = sheaf._sorted_upper(big.mask)
+    small_elems = set(sheaf._sorted_upper(small.mask))
+    ok = True
+    for d in range(sheaf.bound + 1):
+        big_layout = sheaf.layout(big_elems, d)
+        pos = [c for c, key in enumerate(big_layout) if key[0] in small_elems]
+        proj = RowSpace(sheaf.field, len(pos))
+        for v in sheaf.section_space(big.mask, d):
+            proj.add([v[c] for c in pos])
+        if proj.dim != len(sheaf.section_space(small.mask, d)):
+            ok = False
+    return ok
+
+
+class MatroidLocalModel:
+    """Boundary module at a flat F: the quotient of the sections over the
+    open interval (F, E] by the images of y_G for all flats G > F.  This
+    is the construction klsc.matroid_ih runs, on the generic engine, so
+    that the bespoke matroid sheaf can be cross-checked on small
+    matroids."""
+
+    def __init__(self, matroid, field=QQ):
+        self.matroid = matroid
+        self.field = field
+        self.lattice = matroid.lattice()
+
+    def nvars(self, x):
+        return 1
+
+    def boundary(self, x, view):
+        field = self.field
+        L = self.lattice
+        bound = view.sheaf.bound
+        layouts = [view.layout(d) for d in range(bound + 1)]
+        positions = [{key: c for c, key in enumerate(lay)} for lay in layouts]
+
+        def y_image(vec, d, g):
+            """y_g acting on a degree-d section vector, landing in degree
+            d + (rk g - rk x); the h-exponent of every kept coordinate
+            rises by the shift."""
+            shift = L.rank[g] - L.rank[x]
+            out = [field.zero] * len(layouts[d + shift])
+            for c, (h, gi, m) in enumerate(layouts[d]):
+                a = vec[c]
+                if not field.is_zero(a) and L.leq(g, h):
+                    out[positions[d + shift][(h, gi, (m[0] + shift,))]] = a
+            return out
+
+        above = [g for g in L.elements() if L.lt(x, g)]
+        nspaces = []
+        for d in range(bound + 1):
+            nspace = RowSpace(field, len(layouts[d]))
+            for g in above:
+                shift = L.rank[g] - L.rank[x]
+                if shift > d:
+                    continue
+                for v in view.bases[d - shift]:
+                    nspace.add(y_image(v, d - shift, g))
+            nspaces.append(nspace)
+
+        # quotient coordinates: representatives of F_d modulo the y-span.
+        # Together with the basis of N_d they are independent, the columns
+        # of the system that to_quotient_coords solves
+        reps = []
+        columns = []
+        for d in range(bound + 1):
+            span = nspaces[d].copy()
+            basis = []
+            for v in view.bases[d]:
+                if span.add(v) is not None:
+                    basis.append(v)
+            reps.append(basis)
+            known = nspaces[d].basis() + basis
+            columns.append([[v[c] for v in known] for c in range(len(layouts[d]))])
+
+        def to_quotient_coords(vec, d):
+            try:
+                x = solve_linear(columns[d], vec, field)
+            except InconsistentSystemError as exc:
+                raise TruncationBoundError("vector escapes the quotient basis") from exc
+            return x[nspaces[d].dim :]
+
+        ambient_dims = [len(reps[d]) for d in range(bound + 1)]
+        bases = []
+        for d in range(bound + 1):
+            eye = []
+            for c in range(ambient_dims[d]):
+                v = [field.zero] * ambient_dims[d]
+                v[c] = field.from_int(1)
+                eye.append(v)
+            bases.append(eye)
+        # h acts on the quotient coordinates of each representative
+        raising = [[]]
+        for d in range(bound):
+            h = view.sheaf.raising(view.elems, d, lambda y: [field.from_int(1)])
+            cols = []
+            for v in reps[d]:
+                qc = to_quotient_coords(matvec(h, v, field, len(layouts[d + 1])), d + 1)
+                cols.append([(r, a) for r, a in enumerate(qc) if not field.is_zero(a)])
+            raising[0].append(cols)
+        module = GradedModule(field, 1, bound, ambient_dims, bases, raising)
+        # res takes quotient coordinates: its kernel is N_d, and the
+        # representatives lift the module's coordinate vectors
+        kernel = [nspaces[d].basis() for d in range(bound + 1)]
+        rep_cols = [
+            [[(c, a) for c, a in enumerate(v) if a] for v in reps[d]] for d in range(bound + 1)
+        ]
+        return module, kernel, lambda d, v: matvec(rep_cols[d], v, field, len(layouts[d]))
+
+
+def build_matroid_sheaf_generic(matroid, field=QQ):
+    """The matroid sheaf via the generic engine; returns (lattice, sheaf).
+    Quadratic and unmemoized, for cross-validation on small matroids."""
+    lattice = matroid.lattice()
+    return lattice, build_sheaf(lattice, MatroidLocalModel(matroid, field))
+
+
+# -- moment-graph sheaves: section spaces the slow way -----------------------------
+
+
+def _stalk_layout(sheaf, verts, degree):
+    layout = []
+    for i in verts:
+        for gi, gd in enumerate(sheaf.stalks[i]):
+            if gd <= degree:
+                for m in monomials(sheaf.nvars, degree - gd):
+                    layout.append((i, gi, m))
+    return layout
+
+
+def section_dims(sheaf, verts, up_to):
+    """Dimensions of the space of edge-compatible tuples of a
+    MomentGraphSheaf over the given vertex set (an upper set of the
+    interval), degree by degree, computed directly as a kernel.
+    Quadratic in everything; meant for verification at small scale."""
+    verts = set(verts)
+    poset = sheaf.graph.interval.poset
+    for i in verts:
+        for j in sheaf.graph.vertices:
+            if poset.lt(i, j) and j not in verts:
+                raise KlscError("vertex set is not an upper set")
+    dims = []
+    for d in range(up_to + 1):
+        layout = _stalk_layout(sheaf, sorted(verts), d)
+        pos = {key: c for c, key in enumerate(layout)}
+        space = RowSpace(sheaf.field, len(layout))
+        for k, e in enumerate(sheaf.graph.edges):
+            if e.u not in verts or e.v not in verts:
+                continue
+            for r in _edge_constraint_rows(sheaf, k, d, layout, pos):
+                space.add(r)
+        dims.append(len(layout) - space.dim)
+    return dims
+
+
+def _edge_constraint_rows(sheaf, k, degree, layout, pos):
+    """Rows expressing 'image of m_u equals image of m_v in M_E' for edge
+    k, as functionals on the stalk layout."""
+    e = sheaf.graph.edges[k]
+    ring = sheaf.edge_rings[k]
+    field = sheaf.field
+    nvars = sheaf.nvars
+    # target coordinates: (gen j of stalk at e.v, reduced monomial)
+    tcoords = []
+    for j, gd in enumerate(sheaf.stalks[e.v]):
+        if gd <= degree:
+            for m in reduced_monomials(nvars, ring.pivot, degree - gd):
+                tcoords.append((j, m))
+    tpos = {key: c for c, key in enumerate(tcoords)}
+    rows = [[field.zero] * len(layout) for _ in tcoords]
+    # agreement: reduce(m_v part) - lower_map(m_u part) = 0 in M_E
+    for c, (i, gi, m) in enumerate(layout):
+        if i == e.v:
+            red = ring.reduce(MultiPoly(field, nvars, {m: field.from_int(1)}))
+            for em, cc in red.terms.items():
+                row = rows[tpos[(gi, em)]]
+                row[c] = field.add(row[c], cc)
+        elif i == e.u:
+            img = sheaf.lower_maps[k][gi]  # list of reduced MultiPoly
+            mono = MultiPoly(field, nvars, {m: field.from_int(1)})
+            for j, ip in enumerate(img):
+                if ip.is_zero():
+                    continue
+                prod = ring.reduce(mono * ip)
+                for em, cc in prod.terms.items():
+                    row = rows[tpos[(j, em)]]
+                    row[c] = field.sub(row[c], cc)
+    return rows
+
+
+def spanned_section_dims(sheaf, verts, up_to):
+    """Degreewise dimensions of the span of the sheaf's generating
+    sections, restricted to the given vertices."""
+    verts = set(verts)
+    dims = []
+    for d in range(up_to + 1):
+        layout = _stalk_layout(sheaf, sorted(verts), d)
+        pos = {key: c for c, key in enumerate(layout)}
+        space = RowSpace(sheaf.field, len(layout))
+        for s in sheaf.sections:
+            if s.degree > d:
+                continue
+            for m in monomials(sheaf.nvars, d - s.degree):
+                space.add(_section_vector(sheaf, s, m, verts, pos))
+        dims.append(space.dim)
+    return dims
+
+
+def _section_vector(sheaf, s, mono, verts, pos):
+    field = sheaf.field
+    v = [field.zero] * len(pos)
+    mpoly = MultiPoly(field, sheaf.nvars, {mono: field.from_int(1)})
+    for i, polys in s.parts.items():
+        if i not in verts:
+            continue
+        for gi, p in enumerate(polys):
+            if p.is_zero():
+                continue
+            for e, c in (mpoly * p).terms.items():
+                v[pos[(i, gi, e)]] = c
+    return v
+
+
+def check_section_generators(sheaf, up_to=None):
+    """Whether the degreewise span of the maintained generating set
+    matches the honest edge-agreement kernel over the full vertex set;
+    returns (ok, honest dims, spanned dims)."""
+    up_to = sheaf.degree_bound if up_to is None else up_to
+    honest = section_dims(sheaf, sheaf.graph.vertices, up_to)
+    spanned = spanned_section_dims(sheaf, sheaf.graph.vertices, up_to)
+    return honest == spanned, honest, spanned
+
+
+# -- Coxeter groups -----------------------------------------------------------------
+
+
+def longest_element(W):
+    return max(range(W.size), key=lambda x: W.length[x])
+
+
+def subword_leq(W, x, w):
+    """Bruhat comparison via the subword property; exponential in the
+    length of w."""
+    word = W.words[w]
+    lx = W.length[x]
+    n = len(word)
+    for mask in range(1 << n):
+        if bin(mask).count("1") != lx:
+            continue
+        sub = [word[i] for i in range(n) if mask >> i & 1]
+        if W.from_word(sub) == x:
+            return True
+    return lx == 0
+
+
+def reflection_matrix_from_root(W, root, coroot):
+    """Matrix of the reflection v -> v - <coroot, v> root on root coords."""
+    a = W.cartan.matrix
+    n = W.rank
+    pair = [sum(coroot[j] * a[j][k] for j in range(n)) for k in range(n)]
+    return tuple(
+        tuple((1 if r == k else 0) - root[r] * pair[k] for k in range(n))
+        for r in range(n)
+    )
+
+
+# -- fans and matroids --------------------------------------------------------------
+
+
+def unimodular_image(fan, matrix):
+    """The fan with every ray transformed by an invertible integer matrix
+    (rows act on column vectors); such a matrix keeps rays primitive."""
+    d = fan.ambient_dim
+    rays = [tuple(sum(matrix[i][j] * r[j] for j in range(d)) for i in range(d)) for r in fan.rays]
+    return Fan(d, rays, fan.cones)
+
+
+def projective_geometry(q, d):
+    """The matroid of all points of PG(d-1, q), whose lattice of flats is
+    the lattice of subspaces of GF(q)^d."""
+    field = GF(q)
+    seen = {}
+    for vec in product(range(q), repeat=d):
+        if not any(vec):
+            continue
+        lead = next(v for v in vec if v)
+        scaled = tuple(field.div(field.from_int(v), field.from_int(lead)) for v in vec)
+        seen.setdefault(scaled, vec)
+    cols = sorted(seen)
+
+    def rank_fn(s):
+        space = RowSpace(field, d)
+        for i in sorted(s):
+            space.add(list(cols[i]))
+        return space.dim
+
+    return Matroid(len(cols), rank_fn, tag=("pg", q, d))
+
+
+def brute_flats(n, bases):
+    """{flat: rank} of the matroid on 0..n-1 with the given bases, from
+    the definitions: rk S is the largest |S & B| over the bases B, and S
+    is a flat when adding any element outside it raises the rank.  Every
+    one of the 2^n subsets is tested."""
+    masks = [sum(1 << e for e in b) for b in bases]
+    rank = [max((s & b).bit_count() for b in masks) for s in range(1 << n)]
+    out = {}
+    for s in range(1 << n):
+        if all(rank[s | 1 << e] > rank[s] for e in range(n) if not s >> e & 1):
+            out[frozenset(e for e in range(n) if s >> e & 1)] = rank[s]
+    return out
+
+
+def load_workloads():
+    """perfbench/workloads.py, which imports nothing from klsc, loaded as a
+    module: the seeded benchmark inputs in their canonical presentation."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", root / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def mobius_rho(A, i):
+    """Restriction of the MobiusAlgebra A to the fixed point of flat i: a
+    table flat j -> exponent of h, or None for zero."""
+    L = A.lattice
+    return {j: (L.rank[j] if L.leq(j, i) else None) for j in L.elements()}
+
+
+def mobius_phi(A, i):
+    """Restriction of A to the contraction at flat i: a table flat j ->
+    (exponent of h, flat of the contraction as a frozenset)."""
+    out = {}
+    for j in A.lattice.elements():
+        power, k = A.product(i, j)
+        out[j] = (power, A.flats[k] - A.flats[i])
+    return out
+
+
+def is_commutative_associative(A):
+    """Whether the product of the MobiusAlgebra A is commutative and
+    associative, on every pair and triple of flats."""
+    n = A.lattice.n
+    for i in range(n):
+        for j in range(n):
+            if A.product(i, j) != A.product(j, i):
+                return False
+    for i, j, k in product(range(n), repeat=3):
+        p1, a = A.product(i, j)
+        p2, b = A.product(a, k)
+        q1, c = A.product(j, k)
+        q2, d = A.product(i, c)
+        if (p1 + p2, b) != (q1 + q2, d):
+            return False
+    return True

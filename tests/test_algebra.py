@@ -17,15 +17,22 @@ from klsc.errors import (
     TruncationBoundError,
 )
 from klsc.field import GF, MAX_CHARACTERISTIC, QQ
-from klsc.graded import (
-    FreeModuleShape,
-    free_graded_module,
-    minimal_generator_degrees,
-)
+from klsc.graded import FreeModuleShape, minimal_generator_degrees
 from klsc.linalg import RowSpace, kernel_basis, matvec, rref, solve_linear
-from klsc.poly import MultiPoly, UniPoly, monomial_space_dim, poly_reverse_check
+from klsc.poly import MultiPoly, UniPoly, monomial_space_dim
 
-from helpers import _EagerRowSpace, _EagerTaggedRowSpace, dense_matvec
+from helpers import (
+    _EagerRowSpace,
+    _EagerTaggedRowSpace,
+    contains,
+    dense_matvec,
+    free_graded_module,
+    raising_maps_are_closed,
+)
+
+
+def _eq(field, a, b):
+    return field.is_zero(field.sub(a, b))
 
 
 # ints and Fractions, integral ones among the latter included
@@ -39,14 +46,14 @@ RATIONALS = st.one_of(
 class TestFields:
     def test_rational_roundtrip(self):
         a = QQ.parse("-3/6")
-        assert QQ.to_str(a) == "-1/2"
-        assert QQ.to_str(QQ.parse("4/2")) == "2"
-        assert QQ.eq(QQ.add(a, a), QQ.from_int(-1))
+        assert a == Fraction(-1, 2)
+        assert QQ.parse("4/2") == 2 and type(QQ.parse("4/2")) is int
+        assert _eq(QQ, QQ.add(a, a), QQ.from_int(-1))
 
     def test_gf_arithmetic(self):
         F = GF(5)
-        assert F.eq(F.mul(F.from_int(3), F.from_int(4)), F.from_int(2))
-        assert F.eq(F.mul(F.inv(F.from_int(3)), F.from_int(3)), F.one)
+        assert _eq(F, F.mul(F.from_int(3), F.from_int(4)), F.from_int(2))
+        assert _eq(F, F.mul(F.inv(F.from_int(3)), F.from_int(3)), F.one)
 
     def test_rational_inverse_and_quotient_of_ints_are_exact(self):
         for x in (QQ.inv(3), QQ.div(1, 3)):
@@ -107,8 +114,8 @@ class TestFields:
     def test_field_axioms_sample(self, a, b, c):
         for field in (QQ, GF(7)):
             x, y, z = (field.from_int(v) for v in (a, b, c))
-            assert field.eq(field.add(x, y), field.add(y, x))
-            assert field.eq(
+            assert _eq(field, field.add(x, y), field.add(y, x))
+            assert _eq(field, 
                 field.mul(x, field.add(y, z)),
                 field.add(field.mul(x, y), field.mul(x, z)),
             )
@@ -364,7 +371,7 @@ class TestLinalg:
             expected = _fraction_reduce(ref, target)
             res, _ = space.reduce(target)
             assert res == expected and _exact(res)
-            assert space.contains(target) == (not any(expected))
+            assert contains(space, target) == (not any(expected))
             # the tag rebuilds the residual: residual = target + sum tag_k * row_k
             res, tag = tagged.reduce(target)
             assert [res.get(j, 0) for j in range(ncols)] == expected
@@ -424,7 +431,7 @@ class TestLinalg:
                 assert space.add(vec) == ref.add(vec)
                 added.append(vec)
             elif op == "contains":
-                assert space.contains(vec) == (not any(ref.reduce(vec)))
+                assert contains(space, vec) == (not any(ref.reduce(vec)))
             elif op == "reduce":
                 res, tag = space.reduce(vec)
                 expected = ref.reduce(vec)
@@ -468,7 +475,7 @@ class TestLinalg:
                 if pivot is not None:
                     added.append(vec)
             elif op == "contains":
-                assert space.contains(arg) == (not any(ref.reduce(vec)[0]))
+                assert contains(space, arg) == (not any(ref.reduce(vec)[0]))
             elif op == "rows":
                 assert space.rows == ref.rows and space.tags == ref.tags
                 assert sorted(space.tags) == sorted(ref.tags)
@@ -509,7 +516,7 @@ class TestLinalg:
         copy = space.copy()
         assert space.add([1, 0, 0, 0]) == 0
         assert space.basis() == [[1, 0, 0, 0], [0, 1, 0, -1], [0, 0, 1, 1]]
-        assert copy.dim == 2 and not copy.contains([1, 0, 0, 0])
+        assert copy.dim == 2 and not contains(copy, [1, 0, 0, 0])
         assert copy.add([0, 0, 0, 3]) == 3
         assert copy.basis() == [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
         assert space.basis() == [[1, 0, 0, 0], [0, 1, 0, -1], [0, 0, 1, 1]]
@@ -528,7 +535,7 @@ class TestLinalg:
             with pytest.raises(ValueError):
                 space.reduce(v)
             with pytest.raises(ValueError):
-                space.contains(v)
+                contains(space, v)
         assert space.dim == 1
 
     def test_qq_reduce_is_linear(self):
@@ -576,8 +583,8 @@ class TestLinalg:
         assert rref(rows, ncols, F)[1] == pivots
         residual = _gf2_reduce(ref, probe)
         assert list(map(int, space.reduce(probe)[0])) == residual
-        assert space.contains(probe) == (not any(residual))
-        assert all(space.contains(r) for r in rows)
+        assert contains(space, probe) == (not any(residual))
+        assert all(contains(space, r) for r in rows)
         kernel = kernel_basis(rows, ncols, F)
         assert len(kernel) == ncols - len(ref)
         assert all(sum(int(x) * y for x, y in zip(r, k)) % 2 == 0 for r in rows for k in kernel)
@@ -588,7 +595,7 @@ class TestLinalg:
             unit = [int(c == free[0]) for c in range(ncols)]
             assert copy.add(unit) == free[0]
             assert copy.dim == space.dim + 1
-            assert not space.contains(unit)
+            assert not contains(space, unit)
             assert [list(map(int, row)) for row in space.basis()] == [ref[c] for c in pivots]
 
     def test_gf_elimination_refuses_int64_overflow(self):
@@ -633,7 +640,7 @@ class TestLinalg:
         got = matvec(cols, x, F, nrows)
         want = dense_matvec(dense, x, F)
         assert len(got) == nrows
-        assert all(F.eq(a, b) for a, b in zip(got, want)), (got, want)
+        assert all(_eq(F, a, b) for a, b in zip(got, want)), (got, want)
 
     def test_kernel_over_gf2_matches_enumeration(self):
         # kernel of [[1, -1]] over GF(2), oracle = enumerate all of GF(2)^2
@@ -707,9 +714,9 @@ class TestLinalg:
 
 class TestUniPoly:
     def test_reverse_check_examples(self):
-        assert poly_reverse_check(UniPoly((1, 6, 6, 1)), 3)
-        assert poly_reverse_check(UniPoly((1,)), 0)
-        assert not poly_reverse_check(UniPoly((1, 2)), 3)
+        assert UniPoly((1, 6, 6, 1)).reverse_check(3)
+        assert UniPoly((1,)).reverse_check(0)
+        assert not UniPoly((1, 2)).reverse_check(3)
 
     def test_degree_of_zero(self):
         assert UniPoly.zero().degree == float("-inf")
@@ -726,7 +733,7 @@ class TestUniPoly:
         assert f * f == UniPoly((1, 2, 1))
         assert f - f == UniPoly.zero()
         assert f.shift(2) == UniPoly((0, 0, 1, 1))
-        assert (f * f).eval_at_one() == 4
+        assert sum((f * f).coeffs) == 4
 
     def test_dominates(self):
         assert UniPoly((1, 2)).dominates(UniPoly((1, 1)))
@@ -752,17 +759,12 @@ class TestMonomialDims:
 class TestMultiPoly:
     def test_substitute_linear(self):
         # p(x, y) = x*y, substitute x -> u, y -> u + v
-        p = MultiPoly.variable(QQ, 2, 0) * MultiPoly.variable(QQ, 2, 1)
+        u = MultiPoly.linear_form(QQ, [1, 0])
+        v = MultiPoly.linear_form(QQ, [0, 1])
+        p = u * v
         m = [[QQ.one, QQ.zero], [QQ.one, QQ.one]]
         q = p.substitute_linear(m, 2)
-        u = MultiPoly.variable(QQ, 2, 0)
-        v = MultiPoly.variable(QQ, 2, 1)
         assert q == u * u + u * v
-
-    def test_coeff_vector_roundtrip(self):
-        p = MultiPoly(QQ, 2, {(2, 0): QQ.from_int(3), (1, 1): QQ.from_int(-1)})
-        vec = p.coeff_vector(2)
-        assert MultiPoly.from_coeff_vector(QQ, 2, 2, vec) == p
 
 
 class TestGradedModules:
@@ -770,7 +772,7 @@ class TestGradedModules:
         shape = FreeModuleShape((0, 1))
         mod = free_graded_module(QQ, 2, shape, bound=4)
         assert minimal_generator_degrees(mod) == shape
-        assert mod.validate()
+        assert raising_maps_are_closed(mod)
 
     @given(st.lists(st.integers(0, 2), min_size=1, max_size=3), st.integers(1, 3))
     def test_cover_idempotent_on_free_modules(self, degrees, nvars):

@@ -388,19 +388,23 @@ class TestKlsCommand:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
-        "data",
+        "data, message",
         [
-            {"type": "A2", "w": [1.9, 2.2]},
-            {"type": "A2", "w": [True, 2]},
-            {"type": "A2", "w": [1, 2], "v": [1.0]},
+            ({"type": "A2", "w": [1.9, 2.2]}, "bad word"),
+            ({"type": "A2", "w": [True, 2]}, "bad word"),
+            ({"type": "A2", "w": [1, 2], "v": [1.0]}, "bad word"),
+            ({"type": "A2", "w": [1, 4]}, "generator 4 out of range 1..2"),
+            ({"type": "A2", "w": "3"}, "generator 3 out of range 1..2"),
         ],
-        ids=["float-word", "boolean-word", "float-lower-word"],
+        ids=["float-word", "boolean-word", "float-lower-word", "generator-past-the-rank",
+             "digit-past-the-rank"],
     )
-    def test_non_integer_coxeter_word_exits_2(self, tmp_path, capsys, data):
-        # int() used to truncate these to a valid word and exit 0
+    def test_non_integer_coxeter_word_exits_2(self, tmp_path, capsys, data, message):
+        # int() used to truncate the first three to a valid word and exit 0;
+        # the last two used to name the 0-based index the user never typed
         path = write(tmp_path, "cox.json", data)
         assert main(["kls", "--kernel", "coxeter", "--input", path]) == 2
-        assert "bad word" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 # index fields as malformed JSON writes them: negative and out-of-range
@@ -430,14 +434,47 @@ def _fuzzed_posets(draw):
     return {"elements": [str(i) for i in range(n)], "rank": ranks, "covers": covers}
 
 
+# matroid and word entries: ints no larger than 6 (a uniform matroid on
+# 100000 elements is accepted and takes far too long to compute), booleans,
+# floats and one-character strings
+_ENTRIES = st.one_of(
+    st.integers(-2, 6),
+    st.booleans(),
+    st.floats(-2, 6, width=16),
+    st.text("0126-x./", max_size=1),
+)
+
+
+@st.composite
+def _fuzzed_matroids(draw):
+    rows = st.lists(st.lists(_ENTRIES, max_size=3), max_size=4)
+    return draw(st.one_of(
+        st.fixed_dictionaries({"ground_set": _ENTRIES, "bases": rows}),
+        st.fixed_dictionaries({"matrix": rows}),
+        st.fixed_dictionaries({"uniform": st.lists(_ENTRIES, max_size=3)}),
+    ))
+
+
+@st.composite
+def _fuzzed_coxeter_words(draw):
+    word = st.one_of(st.lists(_ENTRIES, max_size=5), st.text("0123e,x", max_size=4))
+    data = {"type": draw(st.sampled_from(["A2", "B2"])), "w": draw(word)}
+    if draw(st.booleans()):
+        data["v"] = draw(word)
+    return data
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(
     st.tuples(st.just(["fan", "ih"]), _fuzzed_fans()),
     st.tuples(st.just(["kls", "--kernel", "eulerian"]), _fuzzed_posets()),
+    st.tuples(st.just(["matroid", "kl"]), _fuzzed_matroids()),
+    st.tuples(st.just(["kls", "--kernel", "coxeter"]), _fuzzed_coxeter_words()),
 ))
 def test_fuzzed_index_fields_exit_cleanly(tmp_path_factory, command):
-    """Whatever the index fields of a small fan or poset JSON hold, the CLI
-    answers with an exit code and lets no exception escape."""
+    """Whatever the index fields of a small fan, poset, matroid or Coxeter
+    JSON hold, the CLI answers with an exit code and lets no exception
+    escape."""
     argv, data = command
     path = write(tmp_path_factory.mktemp("fuzz"), "input.json", data)
     assert main(argv + ["--input", path]) in (0, 1, 2, 3)

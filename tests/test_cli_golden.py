@@ -17,9 +17,7 @@ Regenerate them only on purpose:  python tests/test_cli_golden.py
 """
 
 import hashlib
-import importlib.util
 import json
-import sys
 import tempfile
 from pathlib import Path
 
@@ -28,23 +26,15 @@ import pytest
 from klsc.cli import parse_args
 from klsc.fans import cone_over_polytope
 
+from helpers import load_workloads
+
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = ROOT / "tests" / "data" / "cli_digests.json"
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 def calls():
     """(key, argv, input JSON or None) per call."""
-    workloads = _load_workloads()
+    workloads = load_workloads()
     out = []
     for name, data in workloads.matroid_inputs():
         argv = ["matroid", "z", "--all-flats", "--compare-recursion"]

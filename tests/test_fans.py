@@ -11,12 +11,13 @@ from klsc.fans import (
     face_lattice,
     fan_face_poset,
     g_polynomial,
-    unimodular_image,
 )
 from klsc.graded import FreeModuleShape
 from klsc.kls import eulerian_kernel, solve_kls
 from klsc.poly import UniPoly
 from klsc.poset import UpperSet
+
+from helpers import restriction_surjective, unimodular_image
 
 SQUARE_CONE_RAYS = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
 UNIT_SQUARE = [[0, 0], [1, 0], [0, 1], [1, 1]]
@@ -139,7 +140,7 @@ class TestFanSheaf:
         poset, sheaf = build_fan_sheaf(fan)
         full = UpperSet(poset, (1 << poset.n) - 1)
         for x in poset.elements():
-            assert sheaf.restriction_surjective(full, poset.upper_set(x))
+            assert restriction_surjective(sheaf, full, UpperSet(poset, poset.up[x]))
 
 
 class TestGPolynomial:

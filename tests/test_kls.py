@@ -27,10 +27,17 @@ from klsc.kls import (
 )
 from klsc.matroids import Matroid
 from klsc.poly import UniPoly
-from klsc.poset import RankedPoset, boolean_lattice, chain
+from klsc.poset import RankedPoset
 from klsc.validate import matroid_corpus
 
-from helpers import simplex_cone_face_poset, square_cone_face_poset, uniform_flats_poset
+from helpers import (
+    boolean_lattice,
+    chain,
+    longest_element,
+    simplex_cone_face_poset,
+    square_cone_face_poset,
+    uniform_flats_poset,
+)
 
 
 def one_element_kernel():
@@ -188,7 +195,7 @@ class TestNonNegativity:
         from klsc.kls import coxeter_R_kernel
 
         W = CoxeterGroup(CartanDatum.from_type("A3"))
-        iv = enumerate_interval(W, W.identity, W.longest_element())
+        iv = enumerate_interval(W, W.identity, longest_element(W))
         tables.append(solve_kls(coxeter_R_kernel(iv)))
         for table in tables:
             for pair in table.pairs():

@@ -12,21 +12,28 @@ from klsc.errors import InvalidInputError, TruncationBoundError
 from klsc.field import GF, QQ
 from klsc.graded import FreeModuleShape
 from klsc.kls import matroid_kernel, monotonicity_check, solve_kls, z_polynomial
-from klsc.matroids import Matroid, MobiusAlgebra, flats_from_bases, p_trivial_criterion
+from klsc.matroids import Matroid, MobiusAlgebra, p_trivial_criterion
 from klsc.linalg import RowSpace, kernel_basis, rref
 from klsc.matroid_ih import (
     FlatMasks,
     _image,
-    all_stalk_polynomials,
-    build_matroid_sheaf_generic,
     find_isomorphism,
-    kl_polynomial,
     matroid_sheaf,
     shifted_stalk_shape,
-    z_polynomial_sheaf,
 )
 from klsc.poly import UniPoly
 from klsc.validate import matroid_corpus
+
+from helpers import (
+    brute_flats,
+    build_matroid_sheaf_generic,
+    is_commutative_associative,
+    load_workloads,
+    mobius_phi,
+    mobius_rho,
+    projective_geometry,
+    sections_shape,
+)
 
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -60,7 +67,7 @@ def _equal_size_families(draw):
 
 class TestConstruction:
     def test_u34_from_bases(self):
-        m = flats_from_bases(4, [list(b) for b in combinations(range(4), 3)])
+        m = Matroid.from_bases(4, [list(b) for b in combinations(range(4), 3)])
         assert len(m.flats()) == 12
         assert m.lattice().rank_sizes() == [1, 4, 6, 1]
 
@@ -69,7 +76,7 @@ class TestConstruction:
         assert len(m.flats()) == 2
 
     def test_boolean_from_bases(self):
-        m = flats_from_bases(3, [[0, 1, 2]])
+        m = Matroid.from_bases(3, [[0, 1, 2]])
         assert len(m.flats()) == 8
 
     def test_exchange_violation_rejected(self):
@@ -129,7 +136,7 @@ class TestConstruction:
 
     def test_fano_is_subspace_lattice_of_f2_cubed(self):
         assert set(Matroid.fano().flats()) == set(
-            Matroid.projective_geometry(2, 3).flats()
+            projective_geometry(2, 3).flats()
         )
 
     def test_graphic_k4_matches_vector_realization(self):
@@ -142,7 +149,8 @@ class TestConstruction:
             cols.append(v)
         realized = Matroid.from_matrix(cols)
         assert graphic.flats() == realized.flats()
-        assert kl_polynomial(graphic) == kl_polynomial(realized) == UniPoly((1, 1))
+        kl = [matroid_sheaf(m).kl_polynomial() for m in (graphic, realized)]
+        assert kl == [UniPoly((1, 1))] * 2
 
     def test_contraction_of_uniform(self):
         m = Matroid.uniform(3, 5)
@@ -213,6 +221,61 @@ class TestContraction:
                     assert from_bases.rank_of(s) == max(len(s & b) for b in bases)
 
 
+DESK = matroid_corpus()
+
+
+def contraction_bases(m, bases, f, relabel):
+    """The bases of M/f: B - f, relabelled, for every basis B of m that
+    meets f in a basis of f."""
+    r = m.rank_of(f)
+    return [[relabel[e] for e in b if e not in f] for b in bases if len(f.intersection(b)) == r]
+
+
+def assert_flats_match_brute(m, bases):
+    """m.flats() and their ranks, in order, against brute_flats, then the
+    same for every contraction m.contract(F)."""
+    want = brute_flats(m.n, bases)
+    assert m.flats() == sorted(want, key=lambda f: (want[f], sorted(f)))
+    assert [m.rank_of(f) for f in m.flats()] == [want[f] for f in m.flats()]
+    for f in m.flats():
+        child, relabel = m.contract(f)
+        want = brute_flats(child.n, contraction_bases(m, bases, f, relabel))
+        assert child.flats() == sorted(want, key=lambda g: (want[g], sorted(g))), f
+        assert [child.rank_of(g) for g in child.flats()] == [want[g] for g in child.flats()]
+
+
+class TestFlatsOracle:
+    """Matroid.from_bases(...).flats() against brute_flats, which reads the
+    flats off the bases by the definitions alone."""
+
+    @pytest.mark.parametrize("m", [m for _, m in DESK], ids=[name for name, _ in DESK])
+    def test_desk_corpus(self, m):
+        bases = bases_of(m)
+        assert m.flats() == Matroid.from_bases(m.n, bases).flats()
+        assert_flats_match_brute(Matroid.from_bases(m.n, bases), bases)
+
+    def test_benchmark_matroids(self):
+        inputs = load_workloads().matroid_inputs()
+        assert len(inputs) == 27
+        for name, data in inputs:
+            if "uniform" in data:
+                k, n = data["uniform"]
+                bases = [list(b) for b in combinations(range(n), k)]
+            else:
+                n, bases = data["ground_set"], data["bases"]
+            assert_flats_match_brute(Matroid.from_bases(n, bases), bases)
+
+    def test_brute_flats_by_hand(self):
+        # U(2,3): the empty set, the three points and the whole ground set
+        want = {frozenset(): 0, frozenset({0, 1, 2}): 2}
+        want.update({frozenset({e}): 1 for e in range(3)})
+        assert brute_flats(3, [[0, 1], [0, 2], [1, 2]]) == want
+        # a parallel pair {0, 1} and a point 2: {0, 1} is a flat, {0} is not
+        assert brute_flats(3, [[0, 2], [1, 2]]) == {
+            frozenset(): 0, frozenset({0, 1}): 1, frozenset({2}): 1, frozenset({0, 1, 2}): 2,
+        }
+
+
 class TestMobiusAlgebra:
     def test_identity(self):
         A = MobiusAlgebra(Matroid.uniform(3, 4))
@@ -240,13 +303,13 @@ class TestMobiusAlgebra:
         m = Matroid.uniform(3, 4)
         A = MobiusAlgebra(m)
         top = A.lattice.top()
-        rho_top = A.rho(top)
+        rho_top = mobius_rho(A, top)
         assert all(rho_top[j] == A.lattice.rank[j] for j in A.lattice.elements())
         f1 = m.flat_index({0})
-        assert A.rho(f1)[m.flat_index({0, 1})] is None
+        assert mobius_rho(A, f1)[m.flat_index({0, 1})] is None
         bottom = A.lattice.bottom()
         assert all(
-            A.rho(bottom)[j] is None
+            mobius_rho(A, bottom)[j] is None
             for j in A.lattice.elements()
             if j != bottom
         )
@@ -255,17 +318,17 @@ class TestMobiusAlgebra:
         m = Matroid.uniform(3, 4)
         A = MobiusAlgebra(m)
         f1 = m.flat_index({0})
-        power, target = A.phi(f1)[m.flat_index({1, 2})]
+        power, target = mobius_phi(A, f1)[m.flat_index({1, 2})]
         assert power == 0 and target == frozenset({1, 2, 3})
-        power, target = A.phi(f1)[f1]
+        power, target = mobius_phi(A, f1)[f1]
         assert power == 1 and target == frozenset()
         bottom = A.lattice.bottom()
-        phi0 = A.phi(bottom)
+        phi0 = mobius_phi(A, bottom)
         for j in A.lattice.elements():
             assert phi0[j] == (0, A.flats[j])
 
     def test_commutative_associative(self):
-        assert MobiusAlgebra(Matroid.uniform(2, 4)).check_commutative_associative()
+        assert is_commutative_associative(MobiusAlgebra(Matroid.uniform(2, 4)))
 
 
 class TestSheaf:
@@ -301,12 +364,12 @@ class TestSheaf:
 
     def test_operation_wrappers(self):
         m = Matroid.uniform(3, 4)
-        assert kl_polynomial(m) == UniPoly((1, 2))
-        assert z_polynomial_sheaf(m) == UniPoly((1, 6, 6, 1))
-        stalks = all_stalk_polynomials(m)
+        sheaf = matroid_sheaf(m)
+        assert sheaf.kl_polynomial() == UniPoly((1, 2))
+        assert sheaf.z_polynomial() == UniPoly((1, 6, 6, 1))
         L = m.lattice()
         table = solve_kls(matroid_kernel(L))
-        assert stalks == {j: table[(j, L.top())] for j in L.elements()}
+        assert all(sheaf.stalk_poincare(j) == table[(j, L.top())] for j in L.elements())
 
     def test_generic_engine_agrees_with_fast_path(self):
         """The generic engine's MatroidLocalModel takes the y-images of
@@ -329,7 +392,7 @@ class TestSheaf:
                 assert tuple(gsheaf.stalks[j]) == fast.stalk_shapes[j]
             from klsc.poset import UpperSet
             full = UpperSet(lat, (1 << lat.n) - 1)
-            assert gsheaf.sections_shape(full) == fast.global_shape()
+            assert sections_shape(gsheaf, full) == fast.global_shape()
 
     def test_statement_1_top_stalk(self):
         for m in (Matroid.uniform(3, 4), Matroid.fano()):
@@ -355,9 +418,9 @@ class TestSheaf:
 class TestModP:
     def test_fano_p_polynomials(self):
         f = Matroid.fano()
-        assert kl_polynomial(f, GF(2)) != UniPoly.one()
-        assert kl_polynomial(f, GF(3)) == UniPoly.one()
-        assert kl_polynomial(f, GF(5)) == UniPoly.one()
+        assert matroid_sheaf(f, GF(2)).kl_polynomial() != UniPoly.one()
+        assert matroid_sheaf(f, GF(3)).kl_polynomial() == UniPoly.one()
+        assert matroid_sheaf(f, GF(5)).kl_polynomial() == UniPoly.one()
 
     def test_p_z_identity_and_palindromicity(self):
         for m in (Matroid.fano(), Matroid.uniform(3, 4)):
@@ -393,9 +456,9 @@ class TestModP:
         # GF(3037000493), now rejected, gave 1 + 6t here through int64 overflow
         m = Matroid.uniform(3, 5)
         expected = UniPoly((1, 5))
-        assert kl_polynomial(m) == expected
+        assert matroid_sheaf(m).kl_polynomial() == expected
         for p in (101, 65521, 33554393):
-            assert kl_polynomial(m, GF(p)) == expected
+            assert matroid_sheaf(m, GF(p)).kl_polynomial() == expected
 
     def test_booleans_trivial_for_all_p(self):
         for n in (2, 3):
@@ -403,7 +466,7 @@ class TestModP:
             assert m.is_modular()
             for p in (2, 3, 5):
                 assert p_trivial_criterion(m, p)
-                assert kl_polynomial(m, GF(p)) == UniPoly.one()
+                assert matroid_sheaf(m, GF(p)).kl_polynomial() == UniPoly.one()
 
 
 # -- the memo keyed by lattice isomorphism ------------------------------------------
@@ -940,7 +1003,8 @@ class TestUniformAnchor:
     def test_fast_path(self):
         for n in range(1, 7):
             for k in range(1, n + 1):
-                assert kl_polynomial(Matroid.uniform(k, n)) == UniPoly(_uniform_kl(k, n)), (k, n)
+                kl = matroid_sheaf(Matroid.uniform(k, n)).kl_polynomial()
+                assert kl == UniPoly(_uniform_kl(k, n)), (k, n)
 
     def test_recursion_route(self):
         for n in range(1, 8):

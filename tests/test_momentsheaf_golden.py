@@ -22,6 +22,8 @@ from klsc.coxeter import CartanDatum, CoxeterGroup, bruhat_graph, enumerate_inte
 from klsc.field import GF, QQ
 from klsc.momentsheaf import compute_sheaf
 
+from helpers import longest_element
+
 DIGESTS = Path(__file__).resolve().parent / "data" / "momentsheaf_digests.json"
 
 
@@ -41,7 +43,7 @@ def intervals():
                     out.append((_key(W, name, v, w, field), W, v, w, field))
     for name, field in (("A3", GF(5)), ("C3", QQ)):
         W = CoxeterGroup(CartanDatum.from_type(name))
-        w0 = W.longest_element()
+        w0 = longest_element(W)
         out.append((_key(W, name, W.identity, w0, field), W, W.identity, w0, field))
     return out
 
@@ -57,7 +59,7 @@ def digest(W, v, w, field):
     n = len(iv)
     data = {
         "stalks": [list(sheaf.stalks[i]) for i in range(n)],
-        "sections": list(sheaf.section_generator_degrees().degrees),
+        "sections": sorted(s.degree for s in sheaf.sections),
         "kl": [sheaf.kl_from_sheaf(i).coeff_list() for i in range(n)],
     }
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()[:16]
