@@ -86,7 +86,7 @@ class Cone:
             ker = kernel_basis(list(subset) + span_perp, d, QQ)
             if len(ker) != 1:
                 continue
-            n = tuple(ker[0])  # primitive already
+            n = tuple(ker[0].get(c, 0) for c in range(d))  # primitive already
             sides = [_dot(n, r) for r in self.rays]
             if all(s >= 0 for s in sides):
                 normals[n] = True
@@ -379,7 +379,7 @@ class StructureSections:
                 rb = self.charts[b].restriction_matrix(chart_f)
                 fmons = monomials(chart_f.nvars, d)
                 fpos = {m: i for i, m in enumerate(fmons)}
-                rows = [[field.zero] * len(layout) for _ in fmons]
+                rows = [{} for _ in fmons]
                 for c, (i, m) in enumerate(layout):
                     if i == a:
                         mat = ra
@@ -392,14 +392,14 @@ class StructureSections:
                     poly = MultiPoly(field, self.charts[i].nvars, {m: sign})
                     restricted = poly.substitute_linear(mat, chart_f.nvars)
                     for em, cc in restricted.terms.items():
-                        rows[fpos[em]][c] = field.add(rows[fpos[em]][c], cc)
+                        rows[fpos[em]][c] = cc
                 nrows.extend(rows)
             basis_d = []
             for vec in kernel_basis(nrows, len(layout), field):
                 parts = {}
-                for c, (i, m) in enumerate(layout):
-                    if not field.is_zero(vec[c]):
-                        parts.setdefault(i, {})[m] = vec[c]
+                for c in sorted(vec):
+                    i, m = layout[c]
+                    parts.setdefault(i, {})[m] = vec[c]
                 basis_d.append(
                     {
                         i: MultiPoly(field, self.charts[i].nvars, terms)
@@ -411,12 +411,8 @@ class StructureSections:
     def dims(self):
         return [len(b) for b in self.bases]
 
-    def _vector(self, elem, layout, pos, field):
-        v = [field.zero] * len(layout)
-        for i, poly in elem.items():
-            for m, c in poly.terms.items():
-                v[pos[(i, m)]] = c
-        return v
+    def _vector(self, elem, pos):
+        return {pos[(i, m)]: c for i, poly in elem.items() for m, c in poly.terms.items()}
 
     def generator_shape(self) -> FreeModuleShape:
         """Minimal generator degrees over the ambient polynomial ring."""
@@ -439,10 +435,10 @@ class StructureSections:
                             prod = poly * lf
                             if not prod.is_zero():
                                 raised[i] = prod
-                        space.add(self._vector(raised, layout, pos, field))
+                        space.add(self._vector(raised, pos))
             base_dim = space.dim
             for elem in self.bases[d]:
-                space.add(self._vector(elem, layout, pos, field))
+                space.add(self._vector(elem, pos))
             degrees.extend([d] * (space.dim - base_dim))
         return FreeModuleShape(degrees)
 

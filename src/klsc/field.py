@@ -6,14 +6,15 @@ available and fractions.Fraction otherwise; QQ elimination (klsc.linalg)
 runs on primitive integer rows of Python ints with either backend.
 
 A field is a small stateless object exposing the arithmetic the linear
-algebra layer needs.  Elements are plain Python objects, so vectors are
-ordinary lists.  Over GF(p) they are ints in [0, p); GF(p) is supported
-for primes p < 2^25.  Over QQ an integral element is a Python int
-(QQ.zero is 0, QQ.from_int is operator.index, and QQ.div, QQ.inv and
-QQ.parse return an int whenever the exact value is integral) and any
-other is an mpq/Fraction.  Ints are closed under add, sub, mul and neg,
-so integral work builds no rational at all, and QQ elimination
-(klsc.linalg) takes its all-int fast path on it.
+algebra layer needs.  Elements are plain Python objects; klsc.linalg
+says which vector type holds them in each field.  Over GF(p) they are
+ints in [0, p); GF(p) is supported for primes p < 2^25.  Over QQ an
+integral element is a Python int (QQ.zero is 0, QQ.from_int is
+operator.index, and QQ.div, QQ.inv and QQ.parse return an int whenever
+the exact value is integral) and any other is an mpq/Fraction.  Ints
+are closed under add, sub, mul and neg, so integral work builds no
+rational at all, and QQ elimination (klsc.linalg) takes its all-int fast
+path on it.
 
 QQ.one alone is the backend's rational 1, so that type(QQ.one) names the
 installed backend (perfbench/run.py records it, and perfbench/compare.py

@@ -84,7 +84,8 @@ class GradedModule:
     field, nvars : the base polynomial ring descriptor
     bound : truncation half-degree D; degrees 0..D are realized
     ambient_dims : list of ambient coordinate dimensions, length D+1
-    bases : per degree, a list of basis vectors of the realized subspace
+    bases : per degree, a list of basis vectors of the realized subspace,
+        each a dict of its nonzero entries
     raising : raising[v][i] is multiplication by variable v from ambient
         degree i to i+1, as ambient_dims[i] sparse columns: raising[v][i][c]
         lists the (r, coefficient) pairs, r < ambient_dims[i+1], with a
@@ -105,7 +106,7 @@ class GradedModule:
 
     def apply_raising(self, v, i, vec):
         """Multiply the degree-i ambient vector by variable v."""
-        return matvec(self.raising[v][i], vec, self.field, self.ambient_dims[i + 1])
+        return matvec(self.raising[v][i], vec, self.field)
 
     def raised_span(self, i):
         """Span of sum_v v * M_{i-1} inside ambient degree i."""

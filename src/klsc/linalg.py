@@ -1,15 +1,19 @@
 """Exact linear algebra over a scalar field.
 
-Vectors are plain Python lists, matrices are lists of row vectors; the
-one exception is ``matvec``, whose matrix is column-sparse: per column,
-its nonzero (row, coefficient) pairs, so a product reads only the
-columns where the input vector is nonzero.
+Each field has one vector type.  Over QQ a vector is a dict of its
+nonzero entries (column -> value); over GF(p) it is a numpy int64 array
+with entries in [0, p).  Every QQ vector this module hands out (RowSpace
+rows, bases and residuals, kernel_basis and rref rows, matvec products)
+is such a dict; inputs may also be sequences of all their entries.  Two
+uses take dicts over GF(p) too: tagged RowSpaces, and ``matvec``, whose
+caller is the generic sheaf engine.  Its matrix is column-sparse: per
+column, its nonzero (row, coefficient) pairs, so a product reads only
+the columns where the input vector is nonzero.
 
 Everything reduces to one workhorse, :class:`RowSpace`, an incrementally
 maintained echelon basis keyed by pivot column:
 
-* add a vector, a list or a dict of its nonzero entries (column ->
-  value), and learn whether it enlarged the span;
+* add a vector and learn whether it enlarged the span;
 * reduce a vector against the span;
 * read the basis (``basis``, ``rows``) in reduced row echelon form;
 * optionally track, for every basis row, its expression over the vectors
@@ -78,7 +82,10 @@ def load_numpy():
 
 class RowSpace:
     """A subspace of field^ncols, stored as an echelon basis keyed by pivot
-    column.
+    column.  Vectors go in as dicts of their nonzero entries or as lists,
+    and the rows, basis vectors and residuals it hands out are dicts of
+    their nonzero entries; rows and basis vectors are the stored rows,
+    which callers must not change.
 
     A row is a dict of its nonzero entries (column -> int): over QQ
     primitive with a positive pivot entry pv, over GF(p) reduced mod p
@@ -101,7 +108,8 @@ class RowSpace:
     however far the rows were reduced.
 
     Untagged over GF(p) the rows live in _GFRowSpace instead (XOR-packed
-    ints over GF(2), one int64 matrix otherwise).
+    ints over GF(2), one int64 matrix otherwise), which hands out int64
+    arrays.
     """
 
     def __new__(cls, field, ncols, tagged=False):
@@ -126,12 +134,12 @@ class RowSpace:
     def rows(self):
         """Pivot column -> basis row, in reduced echelon form."""
         self._back_substitute()
-        return {c: self._dense(row) for c, row in self._rows.items()}
+        return dict(self._rows)
 
     def basis(self):
-        """Basis rows in increasing pivot order, as plain lists."""
-        rows = self.rows
-        return [rows[c] for c in sorted(rows)]
+        """Basis rows in increasing pivot order."""
+        self._back_substitute()
+        return [self._rows[c] for c in sorted(self._rows)]
 
     def _check_length(self, v):
         if len(v) != self.ncols:
@@ -142,16 +150,10 @@ class RowSpace:
         if v and not (set(map(type, v)) <= {int} and 0 <= min(v) and max(v) < self.ncols):
             raise ValueError(f"vector with a column outside range({self.ncols})")
 
-    def _dense(self, row):
-        v = [0] * self.ncols
-        for j, x in row.items():
-            v[j] = x
-        return v
-
     def reduce(self, v, tag=None):
         """Reduce v, a list or a dict of its nonzero entries (column ->
-        value), modulo the span; returns (residual, tag).  The residual is
-        a list untagged, and a dict of its nonzero entries in tagged mode.
+        value), modulo the span; returns (residual, tag), the residual a
+        dict of its nonzero entries.
 
         In tagged mode the returned tag expresses residual = v_original -
         (combination of previously added vectors); callers that add
@@ -165,7 +167,7 @@ class RowSpace:
             w = {j: div(x, scale) for j, x in w.items()}
             if tag:
                 tag = {k: div(t, scale) for k, t in tag.items()}
-        return (w if self.tags is not None else self._dense(w)), tag
+        return w, tag
 
     def _reduce_internal(self, v, tag=None):
         """(w, tag, s): w = s*v - (a combination of the rows), as a dict of
@@ -444,9 +446,8 @@ class _GFRowSpace(RowSpace):
         return out
 
     def reduce(self, v, tag=None):
-        """The residual of v modulo the span, as a list of int64 entries,
-        and None."""
-        return list(self._reduce_internal(v)[0]), None
+        """The residual of v modulo the span, as an int64 array, and None."""
+        return self._reduce_internal(v)[0], None
 
     def _reduce_internal(self, v, tag=None):
         v = self._vector(v)
@@ -519,31 +520,33 @@ class _GFRowSpace(RowSpace):
 
 
 def rref(rows, ncols, field):
-    """Reduced row echelon form.  Returns (basis rows, pivot columns);
-    over QQ the rows are primitive int vectors with positive pivots."""
+    """Reduced row echelon form.  Returns (basis rows, pivot columns); over
+    QQ the rows are primitive int vectors with positive pivots, as dicts of
+    their nonzero entries, over GF(p) int64 arrays with unit pivots."""
     space = RowSpace(field, ncols)
     for r in rows:
         space.add(r)
     row_map = space.rows
     pivots = sorted(row_map)
-    return [list(row_map[c]) for c in pivots], pivots
+    return [row_map[c] for c in pivots], pivots
 
 
 def kernel_basis(rows, ncols, field):
     """Basis of the right kernel {x : A x = 0} of the matrix with the given
-    rows, as the basis() of a RowSpace holding the kernel: reduced echelon
-    form in increasing pivot order, primitive int lists with a positive
-    pivot over QQ, int64 arrays with unit pivots over GF(p).  The empty
-    kernel is the empty list (not an error).
+    rows (dicts of their nonzero entries, or sequences), as the basis() of
+    a RowSpace holding the kernel: reduced echelon form in increasing pivot
+    order, primitive int vectors with a positive pivot as dicts of their
+    nonzero entries over QQ, int64 arrays with unit pivots over GF(p).  The
+    empty kernel is the empty list (not an error).
 
     A's columns are eliminated last to first.  In those reversed
     coordinates the vector of a free column f is zero at the other free
     columns and after f; read forwards, it leads at f and is zero at the
     other free columns, the kernel's pivots, so it is already reduced."""
+    space = RowSpace(field, ncols)
+    for r in rows:
+        space.add({ncols - 1 - c: a for c, a in r.items()} if isinstance(r, dict) else r[::-1])
     if field.characteristic:
-        space = RowSpace(field, ncols)
-        for r in rows:
-            space.add(r[::-1])
         pivots = sorted(space._pivots)
         pivot_set = set(pivots)
         free_cols = [c for c in range(ncols) if c not in pivot_set]
@@ -553,25 +556,27 @@ def kernel_basis(rows, ncols, field):
             mat = np.array(space.basis())
             out[:, pivots] = (-mat[:, free_cols].T) % field.p
         return list(out[::-1, ::-1].copy())
-    basis, pivots = rref((r[::-1] for r in rows), ncols, field)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    # each pivot row: pv*x_pivot + sum(row[f] x_f over free f) = 0, so the
+    # vector of free column f has m = lcm of the pv of the rows meeting f
+    # at f and -row[f] * (m // pv) at each such row's pivot
+    terms = {c: [] for c in range(ncols) if c not in space._rows}
+    for pc, row in space.rows.items():
+        for f, a in row.items():
+            if f != pc:
+                terms[f].append((pc, a, row[pc]))
     out = []
-    for fc in reversed(free_cols):
-        # each pivot row: pv*x_pivot + sum(row[c] x_c for free c) = 0
-        terms = [(pc, row[fc], row[pc]) for row, pc in zip(basis, pivots) if row[fc]]
-        m = lcm(*(pv for _, _, pv in terms))
-        v = [0] * ncols
-        v[fc] = m
-        for pc, a, pv in terms:
-            v[pc] = -a * (m // pv)
-        g = gcd(*v)
-        out.append([x // g for x in reversed(v)] if g != 1 else v[::-1])
+    for f in sorted(terms, reverse=True):
+        m = lcm(*(pv for _, _, pv in terms[f]))
+        v = {ncols - 1 - f: m}
+        for pc, a, pv in terms[f]:
+            v[ncols - 1 - pc] = -a * (m // pv)
+        g = gcd(*v.values())
+        out.append({c: x // g for c, x in v.items()} if g != 1 else v)
     return out
 
 
 def solve_linear(rows, b, field):
-    """One solution x of A x = b, where A has the given rows.
+    """One solution x of A x = b, where A has the given rows, as a list.
 
     Raises InconsistentSystemError when the system has no solution; this
     is deliberately distinct from a solvable system whose kernel is zero.
@@ -586,18 +591,20 @@ def solve_linear(rows, b, field):
     for row, pc in zip(basis, pivots):
         if pc == ncols:
             raise InconsistentSystemError("linear system has no solution")
-        x[pc] = field.div(row[ncols], row[pc])
+        rhs = row.get(ncols, field.zero) if isinstance(row, dict) else row[ncols]
+        x[pc] = field.div(rhs, row[pc])
     return x
 
 
-def matvec(cols, x, field, nrows):
-    """The product A x of a column-sparse matrix with nrows rows, each
-    column a list of its nonzero (row, coefficient) pairs, with a dense
-    vector.  Only the nonzero entries of x are read, so the product costs
-    the entries of A in the columns where x is nonzero."""
-    out = [field.zero] * nrows
-    for col, b in zip(cols, x):
-        if b:
-            for r, a in col:
-                out[r] = field.add(out[r], field.mul(a, b))
-    return out
+def matvec(cols, x, field):
+    """The product A x of a column-sparse matrix, each column a list of its
+    nonzero (row, coefficient) pairs, with a vector x; x and the product
+    are dicts of their nonzero entries over either field.  Only the
+    nonzero entries of x are read, so the product costs the entries of A
+    in the columns where x is nonzero."""
+    add, mul = field.add, field.mul
+    out = {}
+    for c, b in x.items():
+        for r, a in cols[c]:
+            out[r] = add(out[r], mul(a, b)) if r in out else mul(a, b)
+    return {r: y for r, y in out.items() if y}

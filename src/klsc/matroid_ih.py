@@ -92,8 +92,6 @@ rejected; they are what make the mod-p polynomials differ.
 
 from __future__ import annotations
 
-from operator import mul
-
 from klsc.errors import DegreeBoundError, TruncationBoundError
 from klsc.field import QQ
 from klsc.graded import FreeModuleShape
@@ -397,42 +395,39 @@ class MatroidIHSheaf:
 
     def _scatter(self, vec, positions, size):
         """Place vec[i] at positions[i] in a fresh vector of the given
-        size; vectorized over GF(p), where vectors are arrays."""
+        size: over QQ vectors are dicts of their nonzero entries, over
+        GF(p) int64 arrays, placed in one vectorized step."""
         if self.np_vectors:
             out = self._np.zeros(size, dtype=self._np.int64)
             out[positions] = vec
             return out
-        out = [0] * size
-        for a, p in zip(vec, positions):
-            if a:
-                out[p] = a
-        return out
+        return {positions[i]: a for i, a in vec.items()}
 
     def _stack(self, head, vec):
         """The full-layout vector with bottom stalk block head (a list)
         and proper block vec."""
         if self.np_vectors:
             return self._np.concatenate((self._np.array(head, dtype=self._np.int64), vec))
-        return head + vec
+        n = len(head)
+        return {i: a for i, a in enumerate(head) if a} | {n + c: a for c, a in vec.items()}
 
     def _dot(self, u, v):
         """The scalar product of two vectors of one layout, reduced mod p
         over GF(p), where vectors are arrays with entries in [0, p)."""
         if self.np_vectors:
             return int(u @ v) % self.field.p
-        return sum(map(mul, u, v))
+        return sum(a * v[c] for c, a in u.items() if c in v)
 
-    def _gather_scatter(self, vec, src_positions, dst_positions, size):
-        """out[dst[i]] = vec[src[i]], zero elsewhere."""
+    def _gather_scatter(self, vec, moves, size):
+        """out[moves[c]] = vec[c] for every position c that the dict moves
+        maps, zero elsewhere; over GF(p) moves is the pair (its keys, its
+        values) of index arrays."""
         if self.np_vectors:
+            src, dst = moves
             out = self._np.zeros(size, dtype=self._np.int64)
-            out[dst_positions] = vec[src_positions]
+            out[dst] = vec[src]
             return out
-        out = [0] * size
-        for s, d in zip(src_positions, dst_positions):
-            if vec[s]:
-                out[d] = vec[s]
-        return out
+        return {moves[c]: a for c, a in vec.items() if c in moves}
 
     # -- the degree sweep ----------------------------------------------------------------
 
@@ -485,20 +480,18 @@ class MatroidIHSheaf:
             lifts = [v for lift_deg, v in self._lifts if lift_deg == e]
             if not lifts:
                 continue
-            src_layout = self.proper_layout(e)
-            src_positions = []
-            dst_positions = []
-            for c, (h, gi) in enumerate(src_layout):
-                if self.leq(g, h):
-                    src_positions.append(c)
-                    dst_positions.append(pos[(h, gi)])
+            moves = {
+                c: pos[(h, gi)]
+                for c, (h, gi) in enumerate(self.proper_layout(e))
+                if self.leq(g, h)
+            }
             if self.np_vectors:
-                src_positions = self._np.array(src_positions, dtype=self._np.intp)
-                dst_positions = self._np.array(dst_positions, dtype=self._np.intp)
-            for v in lifts:
-                nspace.add(
-                    self._gather_scatter(v, src_positions, dst_positions, size)
+                moves = (
+                    self._np.array(list(moves), dtype=self._np.intp),
+                    self._np.array(list(moves.values()), dtype=self._np.intp),
                 )
+            for v in lifts:
+                nspace.add(self._gather_scatter(v, moves, size))
         self._nspace.append(nspace)
 
         # minimal generators of the boundary quotient in this degree: F_d

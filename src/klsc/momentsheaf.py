@@ -149,14 +149,16 @@ class Section:
 class MomentGraphSheaf:
     """Result of the sheaf computation on a moment graph."""
 
-    def __init__(self, graph, field, stalks, sections, edge_rings, lower_maps, bound):
+    def __init__(self, graph, field, stalks, sections, edge_rings, gen_images, bound):
         self.graph = graph
         self.field = field
         self.nvars = graph.group.rank
         self.stalks = stalks  # vertex -> list of generator degrees
         self.sections = sections  # generating set of global sections
         self.edge_rings = edge_rings  # edge index -> EdgeRing
-        self.lower_maps = lower_maps  # edge index -> list of reduced images
+        # vertex -> per stalk generator, its psi-image: a boundary element,
+        # {(up edge, target generator, reduced monomial): coefficient}
+        self.gen_images = gen_images
         self.degree_bound = bound
 
     def stalk_shape(self, i) -> FreeModuleShape:
@@ -195,7 +197,7 @@ def compute_sheaf(graph: MomentGraph, field=QQ, degree_bound=None) -> MomentGrap
 
     edge_rings = {k: EdgeRing(field, nvars, e.label) for k, e in enumerate(graph.edges)}
     stalks = {}
-    lower_maps = {}
+    gen_images = {}
     sections = []
 
     order = sorted(graph.vertices, key=lambda i: (-lengths[i], i))
@@ -210,11 +212,11 @@ def compute_sheaf(graph: MomentGraph, field=QQ, degree_bound=None) -> MomentGrap
         r_v = top_len - lengths[v]
         sweep = min(degree_bound, r_v + 1) if not char_p else degree_bound
         _attach_vertex(
-            graph, field, nvars, v, up_edges, edge_rings, stalks, lower_maps,
+            graph, field, nvars, v, up_edges, edge_rings, stalks, gen_images,
             sections, sweep, r_v, char_p,
         )
     return MomentGraphSheaf(
-        graph, field, stalks, sections, edge_rings, lower_maps, degree_bound
+        graph, field, stalks, sections, edge_rings, gen_images, degree_bound
     )
 
 
@@ -269,7 +271,7 @@ def _stalk_polys(field, nvars, ngens, coords):
 
 
 def _attach_vertex(
-    graph, field, nvars, v, up_edges, edge_rings, stalks, lower_maps,
+    graph, field, nvars, v, up_edges, edge_rings, stalks, all_gen_images,
     sections, sweep, r_v, char_p,
 ):
     by_degree = {}
@@ -356,16 +358,7 @@ def _attach_vertex(
                 kernel_gens.append((d, kt))
 
     stalks[v] = gen_degrees
-    # the lower-endpoint edge maps: component of each psi-image, reduced
-    for k in up_edges:
-        n_target = len(stalks[graph.edges[k].v])
-        lower_maps[k] = [
-            _stalk_polys(
-                field, nvars, n_target,
-                {(j, m): c for (kk, j, m), c in img.items() if kk == k},
-            )
-            for img in gen_images
-        ]
+    all_gen_images[v] = gen_images
 
     # every section extends across the new stalk by its lift
     ngens = len(gen_degrees)
@@ -400,7 +393,7 @@ def structure_ring_dims(graph: MomentGraph, field, up_to):
             ring = edge_rings[k]
             rmons = reduced_monomials(nvars, ring.pivot, d)
             rpos = {m: i for i, m in enumerate(rmons)}
-            rows = [[field.zero] * width for _ in rmons]
+            rows = [{} for _ in rmons]
             for m in mons:
                 red = ring.reduce(MultiPoly(field, nvars, {m: field.from_int(1)}))
                 for em, c in red.terms.items():

@@ -21,12 +21,17 @@ of ``kernel[d]``, and the functionals cutting these sections out of the
 coordinates (x block, then {y > x}) are, for each phi in the kernel of
 ``kernel[d]``, the vector -phi . section_of(psi(m)) over the monomial basis
 m of M_x, followed by phi.  No system is solved for the sections at x.
-Each functional is stored sparse, as the (position, value) pairs of its
-nonzero entries, and the products phi . section_of(psi(m)) are taken one
-psi image at a time against the phis' transposed supports, so they cost
-the image's nonzeros.  When ``kernel[d]`` is empty (res is injective, as
-for fans) the phis are the unit functionals, and no identity matrix is
-built for them.
+The products phi . section_of(psi(m)) are taken one psi image at a time
+against the phis' transposed supports, so they cost the image's
+nonzeros.  When ``kernel[d]`` is empty (res is injective, as for fans)
+the phis are the unit functionals, and no identity matrix is built for
+them.
+
+Every vector the engine handles, over either field, is a dict of its
+nonzero entries (position -> value): section bases, annihilators, psi
+images and module vectors alike, and ``matvec`` takes and returns that
+form.  Over QQ it is the form klsc.linalg hands out; over GF(p), where
+kernel_basis hands out int64 arrays, ``_kernel`` reads them back sparse.
 
 Sections over an upper set Q are represented concretely by their
 localization coordinates: a section is the tuple of its stalk components,
@@ -63,7 +68,7 @@ class SectionView:
     def __init__(self, sheaf, elems, bases):
         self.sheaf = sheaf
         self.elems = elems  # sorted element list of the (open) upper set
-        self.bases = bases  # per degree: list of vectors
+        self.bases = bases  # per degree: list of vectors, dicts of nonzeros
 
     def layout(self, degree):
         return self.sheaf.layout(self.elems, degree)
@@ -80,7 +85,7 @@ class PosetSheaf:
         self.bound = bound
         self.stalks = {}  # element -> list of generator degrees
         # element -> per degree: functionals cutting S_x out of P_x coords,
-        # each a list of its nonzero (position, value) pairs
+        # each a dict of its nonzero entries
         self.annihilators = {}
 
     # -- coordinates -------------------------------------------------------------
@@ -109,7 +114,7 @@ class PosetSheaf:
         """Basis of F(Q) at the given degree, Q the upper set of the mask:
         the kernel of the annihilators at Q's minimal elements, in the
         reduced echelon form kernel_basis hands out; each annihilator's
-        pairs are scattered through the positions of its element's
+        entries are scattered through the positions of its element's
         coordinates in Q's layout."""
         elems = self._sorted_upper(mask)
         layout = self.layout(elems, degree)
@@ -120,11 +125,8 @@ class PosetSheaf:
             sub_layout = self.layout(sub_elems, degree)
             positions = [pos[key] for key in sub_layout]
             for func in self.annihilators[y][degree]:
-                row = [self.field.zero] * len(layout)
-                for c, val in func:
-                    row[positions[c]] = val
-                rows.append(row)
-        return kernel_basis(rows, len(layout), self.field)
+                rows.append({positions[c]: val for c, val in func.items()})
+        return _kernel(rows, len(layout), self.field)
 
     def raising(self, elems, degree, form_of):
         """Multiplication by a linear form on the localization coordinates
@@ -214,28 +216,33 @@ def _attach(sheaf: PosetSheaf, x, top_rank, enforce):
 
         # annihilators of the pairs (m, section_of(psi(m)) + k), k in the
         # span of kernel[d] (module docstring): for each phi, its values
-        # -phi . section_of(psi(m)) on the x block, then phi itself, as
-        # (position, value) lists over layout([x] + elems, d)
+        # -phi . section_of(psi(m)) on the x block, then phi itself, over
+        # layout([x] + elems, d)
         n = len(view.layout(d))
         if kernel[d]:
-            phis = kernel_basis(kernel[d], n, field)
-            supports = [[(c, a) for c, a in enumerate(phi) if a] for phi in phis]
+            phis = _kernel(kernel[d], n, field)
         else:
-            # the phis are the unit functionals, kernel_basis's identity,
-            # which is read only through these supports
-            supports = [[(c, one)] for c in range(n)]
+            # the phis are the unit functionals, kernel_basis's identity
+            phis = [{c: one} for c in range(n)]
         columns = [[] for _ in range(n)]
-        for i, support in enumerate(supports):
-            for c, a in support:
+        for i, phi in enumerate(phis):
+            for c, a in phi.items():
                 columns[c].append((i, a))
-        funcs = [[] for _ in supports]
+        funcs = [{} for _ in phis]
         for k, mv in enumerate(psi.values()):
-            heads = matvec(columns, section_of(d, mv), field, len(supports))
-            for func, h in zip(funcs, heads):
-                if h:
-                    func.append((k, field.neg(h)))
+            for i, h in matvec(columns, section_of(d, mv), field).items():
+                funcs[i][k] = field.neg(h)
         offset = len(psi)
         annihilators.append(
-            [func + [(offset + c, a) for c, a in sup] for func, sup in zip(funcs, supports)]
+            [func | {offset + c: a for c, a in phi.items()} for func, phi in zip(funcs, phis)]
         )
     sheaf.annihilators[x] = annihilators
+
+
+def _kernel(rows, ncols, field):
+    """kernel_basis with every vector a dict of its nonzero entries: over
+    GF(p), where it hands out int64 arrays, they are read back sparse."""
+    ker = kernel_basis(rows, ncols, field)
+    if field.characteristic:
+        ker = [{int(c): int(v[c]) for c in v.nonzero()[0]} for v in ker]
+    return ker

@@ -335,9 +335,20 @@ def poset_json(poset):
 # -- linear algebra and graded modules ----------------------------------------------
 
 
+def dense(v, n):
+    """The list of the n entries of a vector: a dict of its nonzero
+    entries (QQ) or a sequence such as an int64 array (GF(p))."""
+    if not isinstance(v, dict):
+        return list(v)
+    out = [0] * n
+    for c, a in v.items():
+        out[c] = a
+    return out
+
+
 def contains(space, v):
     """Whether v lies in the span of a RowSpace: its residual is zero (a
-    list, or in tagged mode a dict of the nonzero entries)."""
+    dict of the nonzero entries, or over GF(p) untagged an int64 array)."""
     residual = space.reduce(v)[0]
     return not any(residual.values() if isinstance(residual, dict) else residual)
 
@@ -370,16 +381,9 @@ def free_graded_module(field, nvars, shape, bound) -> GradedModule:
         layout.append(coords)
     index = [{key: pos for pos, key in enumerate(coords)} for coords in layout]
     ambient_dims = [len(c) for c in layout]
-    bases = []
-    for i in range(bound + 1):
-        eye = []
-        for pos in range(ambient_dims[i]):
-            v = [field.zero] * ambient_dims[i]
-            v[pos] = field.from_int(1)
-            eye.append(v)
-        bases.append(eye)
-    # a variable maps each monomial to one monomial: one entry per column
     one = field.from_int(1)
+    bases = [[{pos: one} for pos in range(n)] for n in ambient_dims]
+    # a variable maps each monomial to one monomial: one entry per column
     raising = [
         [
             [
@@ -442,7 +446,7 @@ def restriction_surjective(sheaf, big, small):
         pos = [c for c, key in enumerate(big_layout) if key[0] in small_elems]
         proj = RowSpace(sheaf.field, len(pos))
         for v in sheaf.section_space(big.mask, d):
-            proj.add([v[c] for c in pos])
+            proj.add({i: v[c] for i, c in enumerate(pos) if c in v})
         if proj.dim != len(sheaf.section_space(small.mask, d)):
             ok = False
     return ok
@@ -475,10 +479,10 @@ class MatroidLocalModel:
             d + (rk g - rk x); the h-exponent of every kept coordinate
             rises by the shift."""
             shift = L.rank[g] - L.rank[x]
-            out = [field.zero] * len(layouts[d + shift])
-            for c, (h, gi, m) in enumerate(layouts[d]):
-                a = vec[c]
-                if not field.is_zero(a) and L.leq(g, h):
+            out = {}
+            for c, a in vec.items():
+                h, gi, m = layouts[d][c]
+                if L.leq(g, h):
                     out[positions[d + shift][(h, gi, (m[0] + shift,))]] = a
             return out
 
@@ -506,42 +510,35 @@ class MatroidLocalModel:
                 if span.add(v) is not None:
                     basis.append(v)
             reps.append(basis)
-            known = nspaces[d].basis() + basis
-            columns.append([[v[c] for v in known] for c in range(len(layouts[d]))])
+            n = len(layouts[d])
+            known = [dense(v, n) for v in nspaces[d].basis() + basis]
+            columns.append([[v[c] for v in known] for c in range(n)])
 
         def to_quotient_coords(vec, d):
             try:
-                x = solve_linear(columns[d], vec, field)
+                x = solve_linear(columns[d], dense(vec, len(layouts[d])), field)
             except InconsistentSystemError as exc:
                 raise TruncationBoundError("vector escapes the quotient basis") from exc
             return x[nspaces[d].dim :]
 
         ambient_dims = [len(reps[d]) for d in range(bound + 1)]
-        bases = []
-        for d in range(bound + 1):
-            eye = []
-            for c in range(ambient_dims[d]):
-                v = [field.zero] * ambient_dims[d]
-                v[c] = field.from_int(1)
-                eye.append(v)
-            bases.append(eye)
+        one = field.from_int(1)
+        bases = [[{c: one} for c in range(n)] for n in ambient_dims]
         # h acts on the quotient coordinates of each representative
         raising = [[]]
         for d in range(bound):
             h = view.sheaf.raising(view.elems, d, lambda y: [field.from_int(1)])
             cols = []
             for v in reps[d]:
-                qc = to_quotient_coords(matvec(h, v, field, len(layouts[d + 1])), d + 1)
+                qc = to_quotient_coords(matvec(h, v, field), d + 1)
                 cols.append([(r, a) for r, a in enumerate(qc) if not field.is_zero(a)])
             raising[0].append(cols)
         module = GradedModule(field, 1, bound, ambient_dims, bases, raising)
         # res takes quotient coordinates: its kernel is N_d, and the
         # representatives lift the module's coordinate vectors
         kernel = [nspaces[d].basis() for d in range(bound + 1)]
-        rep_cols = [
-            [[(c, a) for c, a in enumerate(v) if a] for v in reps[d]] for d in range(bound + 1)
-        ]
-        return module, kernel, lambda d, v: matvec(rep_cols[d], v, field, len(layouts[d]))
+        rep_cols = [[list(v.items()) for v in reps[d]] for d in range(bound + 1)]
+        return module, kernel, lambda d, v: matvec(rep_cols[d], v, field)
 
 
 def build_matroid_sheaf_generic(matroid, field=QQ):
@@ -575,6 +572,7 @@ def section_dims(sheaf, verts, up_to):
         for j in sheaf.graph.vertices:
             if poset.lt(i, j) and j not in verts:
                 raise KlscError("vertex set is not an upper set")
+    maps = lower_maps(sheaf)
     dims = []
     for d in range(up_to + 1):
         layout = _stalk_layout(sheaf, sorted(verts), d)
@@ -583,15 +581,33 @@ def section_dims(sheaf, verts, up_to):
         for k, e in enumerate(sheaf.graph.edges):
             if e.u not in verts or e.v not in verts:
                 continue
-            for r in _edge_constraint_rows(sheaf, k, d, layout, pos):
+            for r in _edge_constraint_rows(sheaf, maps, k, d, layout, pos):
                 space.add(r)
         dims.append(len(layout) - space.dim)
     return dims
 
 
-def _edge_constraint_rows(sheaf, k, degree, layout, pos):
+def lower_maps(sheaf):
+    """The lower-endpoint edge maps of a MomentGraphSheaf: edge index ->
+    per generator of the stalk at the edge's lower vertex u, the component
+    of its psi-image in that edge's module, as one reduced MultiPoly per
+    generator of the stalk at the upper vertex."""
+    out = {}
+    for k, e in enumerate(sheaf.graph.edges):
+        maps = []
+        for img in sheaf.gen_images[e.u]:
+            terms = [{} for _ in sheaf.stalks[e.v]]
+            for (kk, j, m), c in img.items():
+                if kk == k:
+                    terms[j][m] = c
+            maps.append([MultiPoly(sheaf.field, sheaf.nvars, t) for t in terms])
+        out[k] = maps
+    return out
+
+
+def _edge_constraint_rows(sheaf, maps, k, degree, layout, pos):
     """Rows expressing 'image of m_u equals image of m_v in M_E' for edge
-    k, as functionals on the stalk layout."""
+    k, as functionals on the stalk layout; maps are the lower_maps."""
     e = sheaf.graph.edges[k]
     ring = sheaf.edge_rings[k]
     field = sheaf.field
@@ -612,7 +628,7 @@ def _edge_constraint_rows(sheaf, k, degree, layout, pos):
                 row = rows[tpos[(gi, em)]]
                 row[c] = field.add(row[c], cc)
         elif i == e.u:
-            img = sheaf.lower_maps[k][gi]  # list of reduced MultiPoly
+            img = maps[k][gi]  # list of reduced MultiPoly
             mono = MultiPoly(field, nvars, {m: field.from_int(1)})
             for j, ip in enumerate(img):
                 if ip.is_zero():

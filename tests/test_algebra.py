@@ -25,6 +25,7 @@ from helpers import (
     _EagerRowSpace,
     _EagerTaggedRowSpace,
     contains,
+    dense,
     dense_matvec,
     free_graded_module,
     raising_maps_are_closed,
@@ -362,15 +363,19 @@ class TestLinalg:
             space.add(r)
             tagged.add(r, {i: QQ.one})
         assert space.dim == tagged.dim == len(ref)
-        # primitive int rows with positive pivots, multiples of the reference
-        for row in space.basis():
+        # primitive int rows with positive pivots, multiples of the
+        # reference, handed out as dicts of their nonzero entries
+        for sparse in space.basis():
+            row = dense(sparse, ncols)
             piv = next(c for c, x in enumerate(row) if x)
+            assert 0 not in sparse.values()
             assert _exact(row) and gcd(*row) == 1 and row[piv] > 0
             assert [Fraction(x, row[piv]) for x in row] == ref[piv]
         for target in targets:
             expected = _fraction_reduce(ref, target)
             res, _ = space.reduce(target)
-            assert res == expected and _exact(res)
+            assert dense(res, ncols) == expected and _exact(res.values())
+            assert 0 not in res.values()
             assert contains(space, target) == (not any(expected))
             # the tag rebuilds the residual: residual = target + sum tag_k * row_k
             res, tag = tagged.reduce(target)
@@ -384,7 +389,7 @@ class TestLinalg:
         assert len(ker) == ncols - len(ref)
         assert len(rref(ker, ncols, QQ)[0]) == len(ker)
         for v in ker:
-            assert not any(dense_matvec(rows, v, QQ))
+            assert not any(dense_matvec(rows, dense(v, ncols), QQ))
         b = dense_matvec(rows, targets[0], QQ)
         x = solve_linear(rows, b, QQ)
         assert dense_matvec(rows, x, QQ) == b and _exact(x)
@@ -394,7 +399,9 @@ class TestLinalg:
         """kernel_basis hands out, entry for entry, the basis a RowSpace of
         the kernel holds (reduced echelon form, increasing pivots, primitive
         ints with positive pivots over QQ, unit pivots over GF(p)), and
-        every vector annihilates every row."""
+        every vector annihilates every row.  Over QQ the vectors are dicts
+        of their nonzero entries.  The same rows given as dicts of their
+        nonzero entries give the same kernel."""
         field, ncols, rows = system
         p = field.characteristic
         ker = kernel_basis(rows, ncols, field)
@@ -402,15 +409,19 @@ class TestLinalg:
         for v in ker:
             space.add(v)
         assert space.dim == len(ker) == ncols - len(rref(rows, ncols, field)[0])
+        from_dicts = kernel_basis([{c: a for c, a in enumerate(r) if a} for r in rows], ncols, field)
         if p:
-            assert all(v.dtype == np.int64 and len(v) == ncols for v in ker)
+            assert all(v.dtype == np.int64 and len(v) == ncols for v in ker + from_dicts)
             assert [list(map(int, v)) for v in ker] == [list(map(int, v)) for v in space.basis()]
+            assert [list(map(int, v)) for v in from_dicts] == [list(map(int, v)) for v in ker]
         else:
-            assert all(type(x) is int for v in ker for x in v)
+            assert all(type(v) is dict and 0 not in v.values() for v in ker + from_dicts)
+            assert all(type(x) is int for v in ker for x in v.values())
             assert ker == space.basis()
+            assert [dense(v, ncols) for v in from_dicts] == [dense(v, ncols) for v in ker]
         for r in rows:
             for v in ker:
-                dot = sum(Fraction(a) * int(b) for a, b in zip(r, v))
+                dot = sum(Fraction(a) * int(b) for a, b in zip(r, dense(v, ncols)))
                 assert (dot % p if p else dot) == 0
 
     @settings(max_examples=300, deadline=None)
@@ -435,18 +446,21 @@ class TestLinalg:
             elif op == "reduce":
                 res, tag = space.reduce(vec)
                 expected = ref.reduce(vec)
-                assert res == expected and tag is None
-                assert list(map(type, res)) == list(map(type, expected))
+                assert dense(res, ncols) == expected and tag is None
+                assert 0 not in res.values()
+                assert [type(res.get(j, x)) for j, x in enumerate(expected)] == list(
+                    map(type, expected)
+                )
             elif op == "dim":
                 assert space.dim == len(ref.rows)
             elif op == "basis":
-                assert space.basis() == ref.basis()
+                assert [dense(v, ncols) for v in space.basis()] == ref.basis()
             elif op == "rows":
-                assert space.rows == ref.rows
+                assert {c: dense(v, ncols) for c, v in space.rows.items()} == ref.rows
             else:
                 pairs.append((space.copy(), ref.copy()))
         for space, ref in pairs:
-            assert space.basis() == ref.basis()
+            assert [dense(v, ncols) for v in space.basis()] == ref.basis()
 
     @settings(max_examples=300, deadline=None)
     @given(_tagged_programs())
@@ -477,7 +491,8 @@ class TestLinalg:
             elif op == "contains":
                 assert contains(space, arg) == (not any(ref.reduce(vec)[0]))
             elif op == "rows":
-                assert space.rows == ref.rows and space.tags == ref.tags
+                assert {c: dense(v, ncols) for c, v in space.rows.items()} == ref.rows
+                assert space.tags == ref.tags
                 assert sorted(space.tags) == sorted(ref.tags)
             elif op == "copy":
                 pairs.append((space.copy(), copy.deepcopy(ref)))
@@ -488,8 +503,8 @@ class TestLinalg:
                 values[i] = vec
                 res, tag = space.reduce(arg, given_tag)
                 expected, expected_tag = ref.reduce(vec, given_tag)
-                dense = [res.get(j, 0) for j in range(ncols)]
-                assert dense == expected and 0 not in res.values()
+                flat = dense(res, ncols)
+                assert flat == expected and 0 not in res.values()
                 assert [type(res.get(j, x)) for j, x in enumerate(expected)] == list(
                     map(type, expected)
                 )
@@ -500,13 +515,14 @@ class TestLinalg:
                 rebuilt = [0] * ncols if given_tag else list(vec)
                 for k, t in tag.items():
                     rebuilt = [x + t * y for x, y in zip(rebuilt, values[k])]
-                assert dense == ([x % p for x in rebuilt] if p else rebuilt)
+                assert flat == ([x % p for x in rebuilt] if p else rebuilt)
                 if op == "add_residual" and res:
                     assert space.add(res, tag) == ref.add(expected, expected_tag)
-                    added.append(dense)
+                    added.append(flat)
             assert space.dim == len(ref.rows)
         for space, ref in pairs:
-            assert space.rows == ref.rows and space.tags == ref.tags
+            assert {c: dense(v, ncols) for c, v in space.rows.items()} == ref.rows
+            assert space.tags == ref.tags
 
     def test_qq_copy_taken_before_back_substitution(self):
         space = RowSpace(QQ, 4)
@@ -515,11 +531,11 @@ class TestLinalg:
         assert space.add([0, 0, 2, 2]) == 2
         copy = space.copy()
         assert space.add([1, 0, 0, 0]) == 0
-        assert space.basis() == [[1, 0, 0, 0], [0, 1, 0, -1], [0, 0, 1, 1]]
+        assert space.basis() == [{0: 1}, {1: 1, 3: -1}, {2: 1, 3: 1}]
         assert copy.dim == 2 and not contains(copy, [1, 0, 0, 0])
         assert copy.add([0, 0, 0, 3]) == 3
-        assert copy.basis() == [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-        assert space.basis() == [[1, 0, 0, 0], [0, 1, 0, -1], [0, 0, 1, 1]]
+        assert copy.basis() == [{1: 1}, {2: 1}, {3: 1}]
+        assert space.basis() == [{0: 1}, {1: 1, 3: -1}, {2: 1, 3: 1}]
 
     @pytest.mark.parametrize("tagged", [False, True])
     @pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=["QQ", "GF2", "GF5"])
@@ -549,8 +565,9 @@ class TestLinalg:
         res_u, _ = space.reduce(u)
         res_w, _ = space.reduce(w)
         res_uw, _ = space.reduce([2 * a + 3 * b for a, b in zip(u, w)])
-        assert any(res_u) and any(res_w)
-        assert res_uw == [2 * a + 3 * b for a, b in zip(res_u, res_w)]
+        assert res_u and res_w
+        res_u, res_w = dense(res_u, 4), dense(res_w, 4)
+        assert dense(res_uw, 4) == [2 * a + 3 * b for a, b in zip(res_u, res_w)]
 
     @given(_gf_systems())
     def test_gf_rank_matches_pure_python(self, system):
@@ -611,17 +628,20 @@ class TestLinalg:
     def test_matvec_reads_sparse_rows(self):
         # the columns of [[2, 0, 1/2], [0, 0, 0], [0, -1, 0]]
         cols = [[(0, QQ.from_int(2))], [(2, QQ.from_int(-1))], [(0, QQ.parse("1/2"))]]
-        x = [QQ.from_int(3), QQ.zero, QQ.from_int(4)]
-        assert matvec(cols, x, QQ, 3) == [QQ.from_int(8), QQ.zero, QQ.zero]
-        assert matvec([[], []], [QQ.from_int(1), QQ.from_int(2)], QQ, 2) == [QQ.zero, QQ.zero]
+        x = {0: QQ.from_int(3), 2: QQ.from_int(4)}
+        assert matvec(cols, x, QQ) == {0: QQ.from_int(8)}
+        assert matvec([[], []], {0: QQ.from_int(1), 1: QQ.from_int(2)}, QQ) == {}
+        # entries that cancel are dropped
+        assert matvec([[(0, 1)], [(0, -1)]], {0: 1, 1: 1}, QQ) == {}
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_column_matvec_matches_the_dense_product(self, data):
-        """matvec on the nonzero columns of a random, mostly zero matrix
-        equals the product straight from the definition: over QQ with int
-        and Fraction entries, over GF(p) with int64 input vectors as the
-        GF(p) bases hand them out."""
+        """matvec on the nonzero columns of a random, mostly zero matrix,
+        with the dict of the nonzero entries of x, is the dict of the
+        nonzero entries of the product straight from the definition: over
+        QQ with int and Fraction entries, over GF(p) with the entries of
+        int64 vectors as the GF(p) bases hand them out."""
         p = data.draw(st.sampled_from([0, 2, 3, 65521]))
         F = GF(p) if p else QQ
         if p:
@@ -632,15 +652,16 @@ class TestLinalg:
             )
         entry = st.one_of(st.just(F.zero), st.just(F.zero), entry)
         nrows, ncols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
-        dense = [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+        rows = [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)]
         x = [data.draw(entry) for _ in range(ncols)]
         if p and data.draw(st.booleans()):
             x = np.array(x, dtype=np.int64)
-        cols = [[(r, dense[r][c]) for r in range(nrows) if dense[r][c]] for c in range(ncols)]
-        got = matvec(cols, x, F, nrows)
-        want = dense_matvec(dense, x, F)
-        assert len(got) == nrows
-        assert all(_eq(F, a, b) for a, b in zip(got, want)), (got, want)
+        cols = [[(r, rows[r][c]) for r in range(nrows) if rows[r][c]] for c in range(ncols)]
+        got = matvec(cols, {c: a for c, a in enumerate(x) if a}, F)
+        want = dense_matvec(rows, x, F)
+        assert type(got) is dict and 0 not in got.values()
+        assert set(got) <= set(range(nrows))
+        assert all(_eq(F, a, b) for a, b in zip(dense(got, nrows), want)), (got, want)
 
     def test_kernel_over_gf2_matches_enumeration(self):
         # kernel of [[1, -1]] over GF(2), oracle = enumerate all of GF(2)^2

@@ -27,6 +27,7 @@ from klsc.validate import matroid_corpus
 from helpers import (
     brute_flats,
     build_matroid_sheaf_generic,
+    dense,
     is_commutative_associative,
     load_workloads,
     mobius_phi,
@@ -579,6 +580,7 @@ def _sections_kept_by_automorphisms(sheaf, d):
             continue
         moved = space.copy()
         for v in space.basis():
+            v = dense(v, len(layout))
             w = [0] * len(layout)
             for c, (j, gi) in enumerate(layout):
                 w[pos[(shape.index[images[j]], gi)]] = int(v[c])
@@ -597,7 +599,7 @@ def _global_sections(sheaf, d):
     nm = len(layout) - len(sheaf.proper_layout(d))  # bottom generators come first
     space = RowSpace(sheaf.field, len(layout))
     for v in sheaf._nspace[d].basis():
-        space.add([0] * nm + list(map(int, v)))
+        space.add([0] * nm + list(map(int, dense(v, len(layout) - nm))))
     for gi in range(nm):
         lift_deg, lift_vec = sheaf._lifts[gi]
         (shifted,) = _raised(sheaf, [lift_vec], lift_deg, d, sheaf.bottom)
@@ -828,16 +830,18 @@ def _annihilator_kernel_by_loops(sheaf, d):
         return space
     pos = {key: c for c, key in enumerate(layout)}
     proper_layout = sheaf.proper_layout(d)
-    fbasis = sheaf.proper_basis(d)
+    n = len(proper_layout)
+    fbasis = [dense(v, n) for v in sheaf.proper_basis(d)]
     active = [gi for gi, gd in enumerate(sheaf.stalk_shapes[0]) if gd <= d]
     nred = sheaf._nspace[d]
-    residuals = [nred.reduce(v)[0] for v in fbasis]
+    residuals = [dense(nred.reduce(v)[0], n) for v in fbasis]
     for gi in active:
         lift_deg, lift_vec = sheaf._lifts[gi]
         (shifted,) = _raised(sheaf, [lift_vec], lift_deg, d, sheaf.bottom)
-        residuals.append([field.neg(x) for x in nred.reduce(shifted)[0]])
-    rows = [[r[c] for r in residuals] for c in range(len(proper_layout))]
+        residuals.append([field.neg(x) for x in dense(nred.reduce(shifted)[0], n)])
+    rows = [[r[c] for r in residuals] for c in range(n)]
     for sol in kernel_basis(rows, len(residuals), field):
+        sol = dense(sol, len(residuals))
         vec = [field.zero] * len(layout)
         for j, v in enumerate(fbasis):
             for c, key in enumerate(proper_layout):
@@ -848,8 +852,8 @@ def _annihilator_kernel_by_loops(sheaf, d):
     return space
 
 
-def _ints(vectors):
-    return [list(map(int, v)) for v in vectors]
+def _ints(vectors, n):
+    return [list(map(int, dense(v, n))) for v in vectors]
 
 
 class TestAnnihilator:
@@ -877,7 +881,8 @@ class TestAnnihilator:
                         want = kernel_basis(ref.basis(), ref.ncols, field)
                         assert len(got) == len(want), (m, p, s.rank, d)
                         echelon, _ = rref(got, ref.ncols, field)
-                        assert _ints(echelon) == _ints(want), (m, p, s.rank, d)
+                        n = ref.ncols
+                        assert _ints(echelon, n) == _ints(want, n), (m, p, s.rank, d)
 
 
 def _raised(sheaf, vectors, e, d, g):
@@ -889,7 +894,7 @@ def _raised(sheaf, vectors, e, d, g):
     pos = {key: c for c, key in enumerate(sheaf.proper_layout(d))}
     kept = [(c, pos[(j, gi)]) for c, (j, gi) in enumerate(sheaf.proper_layout(e)) if L.leq(g, j)]
     for v in vectors:
-        v = list(map(int, v))
+        v = list(map(int, dense(v, len(sheaf.proper_layout(e)))))
         w = [field.zero] * len(pos)
         for c, t in kept:
             if v[c]:
@@ -923,7 +928,7 @@ def _y_span_of_every_section(sheaf):
 
 
 def _rref(space):
-    return _ints(space.basis())
+    return _ints(space.basis(), space.ncols)
 
 
 class TestYSpan:
@@ -960,8 +965,8 @@ class TestYSpan:
         F; the sweep's check that N_d + h F_{d-1} lies in F_d refuses it."""
         gather_scatter = matroid_ih.MatroidIHSheaf._gather_scatter
 
-        def drop_top(self, vec, src_positions, dst_positions, size):
-            return gather_scatter(self, vec, src_positions[:-1], dst_positions[:-1], size)
+        def drop_top(self, vec, moves, size):
+            return gather_scatter(self, vec, dict(list(moves.items())[:-1]), size)
 
         monkeypatch.setattr(matroid_ih.MatroidIHSheaf, "_gather_scatter", drop_top)
         matroid_ih._MEMO.clear()

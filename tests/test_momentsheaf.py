@@ -21,6 +21,7 @@ from klsc.poly import MultiPoly, UniPoly, monomials
 from helpers import (
     check_section_generators,
     longest_element,
+    lower_maps,
     section_dims,
     spanned_section_dims,
 )
@@ -57,7 +58,7 @@ def test_integral_sheaf_builds_no_rationals(name, w_perm):
     integral QQ elements are ints (klsc.field), and no rational 1 enters."""
     _, _, sheaf = sheaf_for(name, w_perm)
     polys = [p for s in sheaf.sections for parts in s.parts.values() for p in parts]
-    polys += [p for images in sheaf.lower_maps.values() for img in images for p in img]
+    polys += [p for images in lower_maps(sheaf).values() for img in images for p in img]
     assert polys
     assert {type(c) for p in polys for c in p.terms.values()} == {int}
 

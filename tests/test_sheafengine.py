@@ -29,6 +29,7 @@ from helpers import (
     MatroidLocalModel,
     build_matroid_sheaf_generic,
     contains,
+    dense,
     raising_maps_are_closed,
     sections_over,
     sections_poincare,
@@ -72,17 +73,6 @@ def boundary_module_at_bottom(poset, sheaf):
     return module
 
 
-def dense_functionals(funcs, ncols):
-    """The annihilators' sparse (position, value) lists as dense rows."""
-    out = []
-    for func in funcs:
-        row = [QQ.zero] * ncols
-        for c, a in func:
-            row[c] = a
-        out.append(row)
-    return out
-
-
 def fan_sections_by_kernel_solve(sheaf, x, d):
     """Reference for a fan: a basis of S_x, the sections over {y >= x} in
     degree d, in the coordinates of layout([x] + {y > x}), solved as the
@@ -99,11 +89,13 @@ def fan_sections_by_kernel_solve(sheaf, x, d):
                     vec = module.apply_raising(v, deg, vec)
                     deg += 1
             psi.append(vec)
-    fbasis = view.bases[d]
     amb = module.ambient_dims[d]
+    fbasis = [dense(s, amb) for s in view.bases[d]]
+    psi = [dense(p, amb) for p in psi]
     rows = [[s[r] for s in fbasis] + [-p[r] for p in psi] for r in range(amb)]
     out = []
     for sol in kernel_basis(rows, len(fbasis) + len(psi), QQ):
+        sol = dense(sol, len(fbasis) + len(psi))
         coeffs = sol[: len(fbasis)]
         glued = [sum(c * s[r] for c, s in zip(coeffs, fbasis)) for r in range(amb)]
         out.append(list(sol[len(fbasis) :]) + glued)
@@ -163,7 +155,7 @@ class TestAnnihilators:
             elems = sheaf._sorted_upper(poset.up[x])
             for d in range(sheaf.bound + 1):
                 n = len(sheaf.layout(elems, d))
-                got = dense_functionals(sheaf.annihilators[x][d], n)
+                got = [dense(f, n) for f in sheaf.annihilators[x][d]]
                 if poset.up[x] == 1 << x:
                     assert got == []
                     continue

@@ -97,3 +97,17 @@ def test_traced_bruhat_run_moves_every_predicted_counter():
     report = _traced_run("bruhat", argvs)
     assert report["exits"] == [0, 0]
     assert report["zero"] == []
+
+
+def test_traced_fan_run_moves_every_predicted_counter(tmp_path):
+    """A traced `fan g` on the cone over the 3-simplex, the fan-qq item
+    kind, moves every counter the benchmark predicts non-zero on fan-qq,
+    so a generic engine that bypasses matvec, kernel_basis, raised_span or
+    section_space fails here and not only in a traced benchmark run."""
+    from klsc.validate import simplex
+
+    path = tmp_path / "simplex3.json"
+    path.write_text(json.dumps({"polytope_vertices": simplex(3)}))
+    report = _traced_run("fan-qq", [["fan", "g", "--input", str(path)]])
+    assert report["exits"] == [0]
+    assert report["zero"] == []
